@@ -126,8 +126,7 @@ void SkewSweep(benchutil::BenchContext& ctx) {
 
 /// Large-message regime on the skewed rotation: one destination receives
 /// the whole per-rank payload (`cap` elements), swept over segment sizes
-/// for the two chunk-capable paths (sparse, dense) plus the unsegmented
-/// baselines. Each row carries the exchange layer's wire-segment count
+/// for the dense and sparse paths plus the unsegmented baselines. Each row carries the exchange layer's wire-segment count
 /// and the measured maximum single-message size across all ranks -- the
 /// acceptance check is max_msg_bytes <= segment_bytes on the segmented
 /// rows.

@@ -12,36 +12,18 @@ void Mailbox::Post(Message&& m) {
   cv_.notify_all();
 }
 
-const Message* Mailbox::FindLocked(std::uint64_t ctx, int src, int tag) const {
-  for (const Message& m : queue_) {
-    if (m.env.Matches(ctx, src, tag)) return &m;
-  }
-  return nullptr;
-}
-
-std::optional<Message> Mailbox::TryPop(std::uint64_t ctx, int src, int tag) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    if (it->env.Matches(ctx, src, tag)) {
-      Message m = std::move(*it);
-      queue_.erase(it);
-      return m;
-    }
-  }
-  return std::nullopt;
-}
-
-bool Mailbox::TryPeek(std::uint64_t ctx, int src, int tag, Envelope* env,
-                      std::size_t* bytes) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const Message* m = FindLocked(ctx, src, tag);
-  if (m == nullptr) return false;
-  if (env != nullptr) *env = m->env;
-  if (bytes != nullptr) *bytes = m->payload.size();
-  return true;
-}
-
 namespace {
+
+/// First queued message matching the pattern (mu_ held); const and
+/// mutable queues share the one scan.
+template <typename Queue>
+auto FindIn(Queue& queue, std::uint64_t ctx, int src, int tag,
+            const SourceRange& range) {
+  return std::find_if(queue.begin(), queue.end(), [&](const Message& m) {
+    return m.env.Matches(ctx, src, tag, range);
+  });
+}
+
 /// Clears Mailbox::parked_ on every exit path. Declared after the lock,
 /// so the flag is reset while mu_ is still held -- the invariant the
 /// deadlock detector's parked proof relies on.
@@ -52,19 +34,39 @@ struct ParkScope {
 };
 }  // namespace
 
+std::optional<Message> Mailbox::TryPop(std::uint64_t ctx, int src, int tag,
+                                       const SourceRange& range) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = FindIn(queue_, ctx, src, tag, range);
+  if (it == queue_.end()) return std::nullopt;
+  Message m = std::move(*it);
+  queue_.erase(it);
+  return m;
+}
+
+bool Mailbox::TryPeek(std::uint64_t ctx, int src, int tag, Envelope* env,
+                      std::size_t* bytes, const SourceRange& range) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = FindIn(queue_, ctx, src, tag, range);
+  if (it == queue_.end()) return false;
+  if (env != nullptr) *env = it->env;
+  if (bytes != nullptr) *bytes = it->payload.size();
+  return true;
+}
+
 Message Mailbox::PopBlocking(std::uint64_t ctx, int src, int tag,
-                             std::chrono::milliseconds timeout) {
+                             std::chrono::milliseconds timeout,
+                             const SourceRange& range) {
   std::unique_lock<std::mutex> lock(mu_);
   ParkScope park(parked_);
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   for (;;) {
     if (aborted_) throw AbortedError(abort_origin_);
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-      if (it->env.Matches(ctx, src, tag)) {
-        Message m = std::move(*it);
-        queue_.erase(it);
-        return m;
-      }
+    auto it = FindIn(queue_, ctx, src, tag, range);
+    if (it != queue_.end()) {
+      Message m = std::move(*it);
+      queue_.erase(it);
+      return m;
     }
     if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
       throw DeadlockError(
@@ -75,15 +77,17 @@ Message Mailbox::PopBlocking(std::uint64_t ctx, int src, int tag,
 
 void Mailbox::PeekBlocking(std::uint64_t ctx, int src, int tag, Envelope* env,
                            std::size_t* bytes,
-                           std::chrono::milliseconds timeout) {
+                           std::chrono::milliseconds timeout,
+                           const SourceRange& range) {
   std::unique_lock<std::mutex> lock(mu_);
   ParkScope park(parked_);
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   for (;;) {
     if (aborted_) throw AbortedError(abort_origin_);
-    if (const Message* m = FindLocked(ctx, src, tag)) {
-      if (env != nullptr) *env = m->env;
-      if (bytes != nullptr) *bytes = m->payload.size();
+    auto it = FindIn(queue_, ctx, src, tag, range);
+    if (it != queue_.end()) {
+      if (env != nullptr) *env = it->env;
+      if (bytes != nullptr) *bytes = it->payload.size();
       return;
     }
     if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {

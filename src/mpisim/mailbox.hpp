@@ -3,7 +3,10 @@
 // Delivery into a mailbox is FIFO in posting order; matching scans the
 // queue front-to-back, which yields the MPI non-overtaking guarantee:
 // two messages from the same sender with envelopes matching the same
-// receive are received in send order.
+// receive are received in send order. Every matching call takes an
+// optional SourceRange: a filtered wildcard match finds the first queued
+// message whose source lies in the range, skipping foreign ones queued
+// ahead of it.
 #pragma once
 
 #include <atomic>
@@ -27,22 +30,25 @@ class Mailbox {
 
   /// Removes and returns the first message matching (ctx, src, tag), or
   /// nullopt if none is queued. Non-blocking.
-  std::optional<Message> TryPop(std::uint64_t ctx, int src, int tag);
+  std::optional<Message> TryPop(std::uint64_t ctx, int src, int tag,
+                                const SourceRange& range = {});
 
   /// Returns a copy of the envelope and the payload byte count of the first
   /// matching message without removing it. Non-blocking probe.
   bool TryPeek(std::uint64_t ctx, int src, int tag, Envelope* env,
-               std::size_t* bytes) const;
+               std::size_t* bytes, const SourceRange& range = {}) const;
 
   /// Blocks until a matching message arrives, then removes and returns it.
   /// Throws AbortedError if the runtime aborted, DeadlockError on timeout.
   Message PopBlocking(std::uint64_t ctx, int src, int tag,
-                      std::chrono::milliseconds timeout);
+                      std::chrono::milliseconds timeout,
+                      const SourceRange& range = {});
 
   /// Blocks until a matching message arrives; returns its envelope/size
   /// without removing it (blocking probe).
   void PeekBlocking(std::uint64_t ctx, int src, int tag, Envelope* env,
-                    std::size_t* bytes, std::chrono::milliseconds timeout);
+                    std::size_t* bytes, std::chrono::milliseconds timeout,
+                    const SourceRange& range = {});
 
   /// Marks the runtime as aborted and wakes all blocked waiters; they throw
   /// AbortedError naming `origin_rank` (the world rank whose failure started
@@ -68,8 +74,6 @@ class Mailbox {
   bool HasParkedWaiter() const;
 
  private:
-  const Message* FindLocked(std::uint64_t ctx, int src, int tag) const;
-
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<Message> queue_;

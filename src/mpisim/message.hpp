@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace mpisim {
@@ -11,6 +12,22 @@ namespace mpisim {
 /// non-negative.
 inline constexpr int kAnySource = -1;
 inline constexpr int kAnyTag = -1;
+
+/// Source filter of a wildcard match: the communicator ranks first,
+/// first + stride, ..., up to last. RBC passes its range here, so a
+/// wildcard probe or receive on one range skips queued messages of an
+/// overlapping range's members (Section V-C "Probing"). The default
+/// admits every source.
+struct SourceRange {
+  int first = 0;
+  int last = std::numeric_limits<int>::max();
+  int stride = 1;
+
+  bool Contains(int r) const {
+    return r >= first && r <= last && (r - first) % stride == 0;
+  }
+  bool operator==(const SourceRange&) const = default;
+};
 
 /// Matching header of a message. `context` identifies the communicator
 /// channel (user p2p, blocking-collective, or nonblocking-collective
@@ -22,9 +39,10 @@ struct Envelope {
   int source_global = 0;  // world rank of the sender (for diagnostics)
   int tag = 0;
 
-  bool Matches(std::uint64_t ctx, int src, int tg) const {
+  bool Matches(std::uint64_t ctx, int src, int tg,
+               const SourceRange& range = {}) const {
     return context == ctx && (src == kAnySource || source == src) &&
-           (tg == kAnyTag || tag == tg);
+           (tg == kAnyTag || tag == tg) && range.Contains(source);
   }
 };
 

@@ -60,14 +60,14 @@ Status StatusOf(const Message& m) {
 class RecvRequest final : public detail::RequestImpl {
  public:
   RecvRequest(void* buf, int count, Datatype dt, int src, int tag, Comm comm,
-              Channel ch)
+              Channel ch, const SourceRange& range)
       : buf_(buf), count_(count), dt_(dt), src_(src), tag_(tag),
-        comm_(std::move(comm)), ch_(ch) {}
+        comm_(std::move(comm)), ch_(ch), range_(range) {}
 
   bool Test(Status* st) override {
     RankContext& rc = Ctx();
     auto m = rc.runtime->MailboxOf(rc.world_rank)
-                 .TryPop(comm_.CtxOf(ch_), src_, tag_);
+                 .TryPop(comm_.CtxOf(ch_), src_, tag_, range_);
     if (!m) return false;
     CopyOut(*m, buf_, count_, dt_);
     ChargeRecv(rc, *m);
@@ -83,6 +83,7 @@ class RecvRequest final : public detail::RequestImpl {
   int tag_;
   Comm comm_;
   Channel ch_;
+  SourceRange range_;
 };
 
 }  // namespace
@@ -117,20 +118,22 @@ void SendOnChannel(const void* buf, int count, Datatype dt, int dest, int tag,
 }
 
 void RecvOnChannel(void* buf, int count, Datatype dt, int src, int tag,
-                   const Comm& comm, Channel ch, Status* st) {
+                   const Comm& comm, Channel ch, Status* st,
+                   const SourceRange& range) {
   ValidateCommon(comm, count, src, /*allow_any=*/true);
   RankContext& rc = Ctx();
   ValidateCaller(comm, rc);
   Mailbox& mb = rc.runtime->MailboxOf(rc.world_rank);
   const std::uint64_t ctx = comm.CtxOf(ch);
-  std::optional<Message> m = mb.TryPop(ctx, src, tag);
+  std::optional<Message> m = mb.TryPop(ctx, src, tag, range);
   if (!m) {
     // Slow path: register as blocked (the wait completes only via this one
     // envelope pattern), then block on the mailbox.
-    ScopedWait guard(MakeWait("Recv", {{ctx, src, tag}}, /*known=*/true));
+    ScopedWait guard(
+        MakeWait("Recv", {{ctx, src, tag, range}}, /*known=*/true));
     try {
       m = mb.PopBlocking(ctx, src, tag,
-                         rc.runtime->options().deadlock_timeout);
+                         rc.runtime->options().deadlock_timeout, range);
     } catch (const DeadlockError&) {
       throw DeadlockError(BuildDeadlockReport(
           *rc.runtime,
@@ -149,25 +152,26 @@ Request IsendOnChannel(const void* buf, int count, Datatype dt, int dest,
 }
 
 Request IrecvOnChannel(void* buf, int count, Datatype dt, int src, int tag,
-                       const Comm& comm, Channel ch) {
+                       const Comm& comm, Channel ch,
+                       const SourceRange& range) {
   ValidateCommon(comm, count, src, /*allow_any=*/true);
   ValidateCaller(comm, Ctx());
-  auto impl =
-      std::make_shared<RecvRequest>(buf, count, dt, src, tag, comm, ch);
+  auto impl = std::make_shared<RecvRequest>(buf, count, dt, src, tag, comm,
+                                            ch, range);
   Request req(std::move(impl));
   req.Test();  // eager first progress attempt
   return req;
 }
 
 bool IprobeOnChannel(int src, int tag, const Comm& comm, Channel ch,
-                     Status* st) {
+                     Status* st, const SourceRange& range) {
   ValidateCommon(comm, /*count=*/0, src, /*allow_any=*/true);
   RankContext& rc = Ctx();
   ValidateCaller(comm, rc);
   Envelope env;
   std::size_t bytes = 0;
   if (!rc.runtime->MailboxOf(rc.world_rank)
-           .TryPeek(comm.CtxOf(ch), src, tag, &env, &bytes)) {
+           .TryPeek(comm.CtxOf(ch), src, tag, &env, &bytes, range)) {
     return false;
   }
   if (st != nullptr) {
@@ -177,7 +181,7 @@ bool IprobeOnChannel(int src, int tag, const Comm& comm, Channel ch,
 }
 
 void ProbeOnChannel(int src, int tag, const Comm& comm, Channel ch,
-                    Status* st) {
+                    Status* st, const SourceRange& range) {
   ValidateCommon(comm, /*count=*/0, src, /*allow_any=*/true);
   RankContext& rc = Ctx();
   ValidateCaller(comm, rc);
@@ -185,11 +189,12 @@ void ProbeOnChannel(int src, int tag, const Comm& comm, Channel ch,
   const std::uint64_t ctx = comm.CtxOf(ch);
   Envelope env;
   std::size_t bytes = 0;
-  if (!mb.TryPeek(ctx, src, tag, &env, &bytes)) {
-    ScopedWait guard(MakeWait("Probe", {{ctx, src, tag}}, /*known=*/true));
+  if (!mb.TryPeek(ctx, src, tag, &env, &bytes, range)) {
+    ScopedWait guard(
+        MakeWait("Probe", {{ctx, src, tag, range}}, /*known=*/true));
     try {
       mb.PeekBlocking(ctx, src, tag, &env, &bytes,
-                      rc.runtime->options().deadlock_timeout);
+                      rc.runtime->options().deadlock_timeout, range);
     } catch (const DeadlockError&) {
       throw DeadlockError(BuildDeadlockReport(
           *rc.runtime,

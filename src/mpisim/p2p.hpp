@@ -64,20 +64,26 @@ void Waitall(std::span<Request> reqs);
 
 namespace detail {
 
-/// Channel-addressed variants used by collectives and communicator
-/// construction protocols. Not part of the public user API.
+/// Channel-addressed variants used by collectives, communicator
+/// construction protocols and RBC. Not part of the public user API. The
+/// receive side takes a source filter (`range`, default: every source):
+/// a wildcard receive or probe matches the first queued message whose
+/// source lies in the range, so RBC's membership filter is part of the
+/// match itself rather than a check on whichever message is queued first.
 void SendOnChannel(const void* buf, int count, Datatype dt, int dest, int tag,
                    const Comm& comm, Channel ch);
 void RecvOnChannel(void* buf, int count, Datatype dt, int src, int tag,
-                   const Comm& comm, Channel ch, Status* st = nullptr);
+                   const Comm& comm, Channel ch, Status* st = nullptr,
+                   const SourceRange& range = {});
 Request IsendOnChannel(const void* buf, int count, Datatype dt, int dest,
                        int tag, const Comm& comm, Channel ch);
 Request IrecvOnChannel(void* buf, int count, Datatype dt, int src, int tag,
-                       const Comm& comm, Channel ch);
+                       const Comm& comm, Channel ch,
+                       const SourceRange& range = {});
 bool IprobeOnChannel(int src, int tag, const Comm& comm, Channel ch,
-                     Status* st);
+                     Status* st, const SourceRange& range = {});
 void ProbeOnChannel(int src, int tag, const Comm& comm, Channel ch,
-                    Status* st);
+                    Status* st, const SourceRange& range = {});
 
 }  // namespace detail
 

@@ -26,6 +26,11 @@ void DescribePattern(std::ostringstream& os, const WaitPattern& p) {
      << " channel), src ";
   if (p.src == kAnySource) {
     os << "ANY";
+    if (p.range != SourceRange{}) {
+      os << " in [" << p.range.first << ".." << p.range.last;
+      if (p.range.stride != 1) os << " step " << p.range.stride;
+      os << "]";
+    }
   } else {
     os << p.src;
   }
@@ -138,7 +143,7 @@ bool WaitRegistry::AllWaitsUnsatisfiableLocked() {
     bool stuck = false;
     for (const WaitPattern& pat : top.patterns) {
       if (!rt_->MailboxOf(r).TryPeek(pat.ctx, pat.src, pat.tag, nullptr,
-                                     nullptr)) {
+                                     nullptr, pat.range)) {
         stuck = true;
         break;
       }

@@ -40,16 +40,20 @@
 #include <string>
 #include <vector>
 
+#include "mpisim/message.hpp"
+
 namespace mpisim {
 
 class Runtime;
 
 /// One envelope pattern a blocked rank is waiting on. `src` may be
-/// kAnySource and `tag` kAnyTag, exactly like a receive posting.
+/// kAnySource and `tag` kAnyTag, exactly like a receive posting; `range`
+/// is the posting's source filter (RBC wildcard waits).
 struct WaitPattern {
   std::uint64_t ctx = 0;
   int src = 0;
   int tag = 0;
+  SourceRange range;
 };
 
 /// What one rank is blocked in. Patterns are conjunctive: the wait can

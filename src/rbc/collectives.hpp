@@ -94,6 +94,14 @@ int Ibarrier(const Comm& comm, Request* request, int tag = RBC_IBARRIER_TAG);
 // need distinct payload tags, which also keeps their barrier and chunk
 // envelopes apart.
 //
+// One band of the *user* tag space is claimed too, by the sorters'
+// exchange layer (jsort::exchange::kChunkTagBase = 2^23,
+// sort/exchange.hpp): a coalesced segment exchange on tag t ships the
+// trailing chunks of its messages on t + 2^23, so [2^23, kReservedTagBase)
+// carries those chunks. StartSegmentExchange rejects tags >= 2^23 with a
+// UsageError; other user traffic of a group that runs segment exchanges
+// must stay below 2^23 as well.
+//
 // The node-aware hierarchical collectives (topo/hier_collectives.hpp)
 // extend this map with one exclusive tag each in kReservedTagBase +
 // [32, 35]:

@@ -12,7 +12,10 @@
 // the same MPI communicator overlap in *more than one* process,
 // simultaneously executed operations must use unique tags (Section V-A).
 // If they overlap in at most one process, RBC's membership-filtered probes
-// guarantee non-interference without any tag discipline.
+// guarantee non-interference without any tag discipline: the membership
+// filter is part of the substrate's envelope match, so a wildcard probe or
+// receive finds the first *member* message even when a message of the
+// overlapping range is queued ahead of it.
 #pragma once
 
 #include "mpisim/mpisim.hpp"
@@ -57,9 +60,12 @@ class Comm {
   /// Translates an MPI rank to the RBC rank, or -1 if not a member.
   int FromMpi(int mpi_rank) const;
 
-  /// True if the MPI rank belongs to this range (the membership test that
-  /// filters wildcard probes, Section V-C).
-  bool IsMember(int mpi_rank) const { return FromMpi(mpi_rank) >= 0; }
+  /// The range as a substrate source filter -- the membership test of
+  /// wildcard probes and receives (Section V-C): they match only messages
+  /// from members, even behind foreign ones queued first.
+  mpisim::SourceRange Members() const {
+    return mpisim::SourceRange{first_, Last(), stride_};
+  }
 
   /// Internal factory used by the creation routines.
   static Comm Raw(mpisim::Comm mpi, int first, int size, int stride);

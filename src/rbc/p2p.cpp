@@ -30,11 +30,18 @@ Status Translate(const Comm& comm, const Status& st) {
   return out;
 }
 
-/// Nonblocking receive from a specific RBC rank: wraps the MPI request and
-/// translates the completion status.
-class RecvSpecificRequest final : public RequestImpl {
+constexpr mpisim::Channel kCh = mpisim::Channel::kUser;
+
+/// MPI peer of an RBC peer rank; the wildcard passes through.
+int MpiPeer(const Comm& comm, int rbc_rank) {
+  return rbc_rank == kAnySource ? mpisim::kAnySource : comm.ToMpi(rbc_rank);
+}
+
+/// Wraps an MPI point-to-point request and translates its completion
+/// status into RBC rank space.
+class TranslatedRequest final : public RequestImpl {
  public:
-  RecvSpecificRequest(mpisim::Request inner, Comm comm)
+  TranslatedRequest(mpisim::Request inner, Comm comm)
       : inner_(std::move(inner)), comm_(std::move(comm)) {}
 
   bool Test(Status* st) override {
@@ -47,39 +54,6 @@ class RecvSpecificRequest final : public RequestImpl {
  private:
   mpisim::Request inner_;
   Comm comm_;
-};
-
-/// Nonblocking wildcard receive (Section V-C): every Test first searches
-/// for an incoming message sent over this RBC communicator (membership
-/// filter); once one is found, the receive is posted for that specific
-/// source.
-class RecvWildcardRequest final : public RequestImpl {
- public:
-  RecvWildcardRequest(void* buf, int count, Datatype dt, int tag, Comm comm)
-      : buf_(buf), count_(count), dt_(dt), tag_(tag), comm_(std::move(comm)) {}
-
-  bool Test(Status* st) override {
-    if (!posted_) {
-      Status probe;
-      if (!IprobeInternal(kAnySource, tag_, comm_, &probe)) return false;
-      inner_ = mpisim::Irecv(buf_, count_, dt_, comm_.ToMpi(probe.source),
-                             tag_, comm_.Mpi());
-      posted_ = true;
-    }
-    Status raw;
-    if (!inner_.Test(&raw)) return false;
-    if (st != nullptr) *st = Translate(comm_, raw);
-    return true;
-  }
-
- private:
-  void* buf_;
-  int count_;
-  Datatype dt_;
-  int tag_;
-  Comm comm_;
-  bool posted_ = false;
-  mpisim::Request inner_;
 };
 
 }  // namespace
@@ -106,6 +80,10 @@ void SpinUntil(const std::function<bool()>& poll, const char* what) {
   }
 }
 
+// Every operation runs on the MPI communicator's user channel. Wildcard
+// forms pass the range as the match's source filter (Comm::Members), so
+// the substrate itself skips queued messages of non-members.
+
 void SendInternal(const void* buf, int count, Datatype dt, int dest, int tag,
                   const Comm& comm) {
   ValidateMember(comm, "Send");
@@ -115,13 +93,9 @@ void SendInternal(const void* buf, int count, Datatype dt, int dest, int tag,
 void RecvInternal(void* buf, int count, Datatype dt, int src, int tag,
                   const Comm& comm, Status* st) {
   ValidateMember(comm, "Recv");
-  if (src == kAnySource) {
-    Status probe;
-    ProbeInternal(kAnySource, tag, comm, &probe);
-    src = probe.source;
-  }
   Status raw;
-  mpisim::Recv(buf, count, dt, comm.ToMpi(src), tag, comm.Mpi(), &raw);
+  mpisim::detail::RecvOnChannel(buf, count, dt, MpiPeer(comm, src), tag,
+                                comm.Mpi(), kCh, &raw, comm.Members());
   if (st != nullptr) *st = Translate(comm, raw);
 }
 
@@ -130,54 +104,35 @@ Request IsendInternal(const void* buf, int count, Datatype dt, int dest,
   ValidateMember(comm, "Isend");
   mpisim::Request inner =
       mpisim::Isend(buf, count, dt, comm.ToMpi(dest), tag, comm.Mpi());
-  return Request(
-      std::make_shared<RecvSpecificRequest>(std::move(inner), comm));
+  return Request(std::make_shared<TranslatedRequest>(std::move(inner), comm));
 }
 
 Request IrecvInternal(void* buf, int count, Datatype dt, int src, int tag,
                       const Comm& comm) {
   ValidateMember(comm, "Irecv");
-  if (src == kAnySource) {
-    auto impl =
-        std::make_shared<RecvWildcardRequest>(buf, count, dt, tag, comm);
-    Request req(std::move(impl));
-    req.Poll();  // eager first progress attempt
-    return req;
-  }
-  mpisim::Request inner =
-      mpisim::Irecv(buf, count, dt, comm.ToMpi(src), tag, comm.Mpi());
-  return Request(
-      std::make_shared<RecvSpecificRequest>(std::move(inner), comm));
+  mpisim::Request inner = mpisim::detail::IrecvOnChannel(
+      buf, count, dt, MpiPeer(comm, src), tag, comm.Mpi(), kCh,
+      comm.Members());
+  return Request(std::make_shared<TranslatedRequest>(std::move(inner), comm));
 }
 
 bool IprobeInternal(int src, int tag, const Comm& comm, Status* st) {
   ValidateMember(comm, "Iprobe");
-  if (src != kAnySource) {
-    Status raw;
-    if (!mpisim::Iprobe(comm.ToMpi(src), tag, comm.Mpi(), &raw)) return false;
-    if (st != nullptr) *st = Translate(comm, raw);
-    return true;
-  }
-  // Wildcard: MPI_Iprobe may report a message of a *different* RBC
-  // communicator; report "no message" unless the source is a member
-  // (Section V-C "Probing").
   Status raw;
-  if (!mpisim::Iprobe(mpisim::kAnySource, tag, comm.Mpi(), &raw)) return false;
-  if (!comm.IsMember(raw.source)) return false;
+  if (!mpisim::detail::IprobeOnChannel(MpiPeer(comm, src), tag, comm.Mpi(),
+                                       kCh, &raw, comm.Members())) {
+    return false;
+  }
   if (st != nullptr) *st = Translate(comm, raw);
   return true;
 }
 
 void ProbeInternal(int src, int tag, const Comm& comm, Status* st) {
   ValidateMember(comm, "Probe");
-  if (src != kAnySource) {
-    Status raw;
-    mpisim::Probe(comm.ToMpi(src), tag, comm.Mpi(), &raw);
-    if (st != nullptr) *st = Translate(comm, raw);
-    return;
-  }
-  SpinUntil([&] { return IprobeInternal(kAnySource, tag, comm, st); },
-            "Probe(ANY_SOURCE)");
+  Status raw;
+  mpisim::detail::ProbeOnChannel(MpiPeer(comm, src), tag, comm.Mpi(), kCh,
+                                 &raw, comm.Members());
+  if (st != nullptr) *st = Translate(comm, raw);
 }
 
 }  // namespace detail

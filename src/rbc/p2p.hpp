@@ -2,12 +2,13 @@
 //
 // Operations with a specific peer rank translate the RBC rank to the
 // underlying MPI rank and forward to MPI. Wildcard (kAnySource)
-// operations are where RBC earns its keep: a wildcard probe may match a
-// message that belongs to a *different* RBC communicator over the same MPI
-// communicator, so RBC checks whether the source is a member of the range
-// and reports "no message" otherwise. This guarantees that communication
-// on two RBC communicators never interferes as long as they overlap in at
-// most one process.
+// operations are where RBC earns its keep: messages of a *different* RBC
+// communicator over the same MPI communicator may be queued with the same
+// tag, so every wildcard probe and receive hands the range to the
+// substrate as a source filter (Comm::Members) and matches the first
+// queued message from a member, skipping foreign ones. This guarantees
+// that communication on two RBC communicators never interferes as long as
+// they overlap in at most one process.
 #pragma once
 
 #include "rbc/comm.hpp"
@@ -20,8 +21,8 @@ int Send(const void* buf, int count, Datatype dt, int dest, int tag,
          const Comm& comm);
 
 /// Blocking receive from RBC rank `src` or kAnySource. The wildcard form
-/// first probes (membership-filtered) to learn the source, then receives
-/// from that specific rank (Section V-C "Receiving").
+/// receives the first queued message from a member (Section V-C
+/// "Receiving").
 int Recv(void* buf, int count, Datatype dt, int src, int tag,
          const Comm& comm, Status* st = nullptr);
 
@@ -30,18 +31,17 @@ int Recv(void* buf, int count, Datatype dt, int src, int tag,
 int Isend(const void* buf, int count, Datatype dt, int dest, int tag,
           const Comm& comm, Request* request);
 
-/// Nonblocking receive. With kAnySource the returned request keeps
-/// searching for an incoming member message on every Test (Section V-C).
+/// Nonblocking receive. With kAnySource the returned request completes
+/// with the first member message (Section V-C).
 int Irecv(void* buf, int count, Datatype dt, int src, int tag,
           const Comm& comm, Request* request);
 
-/// Blocking probe; with kAnySource repeatedly calls Iprobe until a member
-/// message is found.
+/// Blocking probe; with kAnySource waits for a member message.
 int Probe(int src, int tag, const Comm& comm, Status* st);
 
 /// Nonblocking probe; sets *flag to 1 iff a matching message from a member
-/// of this RBC communicator is ready. A pending message from a non-member
-/// yields *flag == 0.
+/// of this RBC communicator is ready, wherever it is queued. Pending
+/// messages from non-members are invisible to it.
 int Iprobe(int src, int tag, const Comm& comm, int* flag,
            Status* st = nullptr);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <thread>
 
 #include "topo/hier_exchange.hpp"
 
@@ -10,12 +9,8 @@ namespace jsort {
 namespace exchange {
 namespace {
 
-void WaitPoll(const Poll& p) {
-  while (!p()) {
-    if (mpisim::Ctx().runtime->Aborted()) throw mpisim::AbortedError();
-    std::this_thread::yield();
-  }
-}
+/// Tag of the trailing chunks of a coalesced exchange on `tag`.
+int ChunkTag(int tag) { return kChunkTagBase + tag; }
 
 /// Vnode map of the transport's group under the runtime's installed
 /// topology: group ranks translate to world ranks, world ranks to nodes,
@@ -51,7 +46,8 @@ std::vector<std::byte> RunHier(Transport& tr,
   auto sparse = [&](std::span<const SparseBlock> sends) {
     std::vector<SparseDelivery> deliveries;
     WaitPoll(tr.IsparseAlltoallv(sends, Datatype::kByte, &deliveries, tag,
-                                 segment_bytes));
+                                 segment_bytes),
+             "jsort::exchange: hierarchical phase");
     return deliveries;
   };
   return topo::HierExchangeBytes(vn, tr.Rank(), pieces, sparse, hs);
@@ -70,37 +66,48 @@ void AddHierStats(ExchangeStats* stats, const topo::HierLevelStats& hs) {
 /// Globally consistent kAuto resolution for the segment exchange. The
 /// decision must be identical on every rank of the group (receivers
 /// behave differently per mode), so it may only depend on quantities all
-/// ranks share: the group size, the segment count, the layout and the
-/// segment limit. An interval redistribution sends each segment to at
-/// most a handful of contiguous destinations (greedy chunks of a run no
-/// longer than the uniform quota span <= 4 ranks), so with k segments a
-/// rank reaches at most ~4k peers -- the estimated non-empty-destination
-/// fraction is min(4k, p-1)/(p-1). At f >= 1/2 the dense path wins (most
-/// peers are hit anyway); below it a skewed path. Coalesced is preferred
-/// (segment exchanges know their receive expectations, and the
-/// expectation-terminated drain adds zero messages where the sparse
-/// collective pays two barriers) -- unless the large-message regime could
-/// be hit: the largest message any rank can owe one destination is the
-/// k-counts header plus at most the destination's whole capacity, a bound
-/// every rank computes identically from the layout. Past segment_bytes
-/// the chunk-capable sparse collective takes over, because the coalesced
-/// eager sends cannot bound their message size. (ExchangeGroupwise is the
-/// kAuto branch that resolves to kSparse unconditionally: there receive
-/// counts are unknown and expectation-based termination is impossible.)
-Mode Resolve(Mode mode, int p, std::size_t k, const CapacityLayout& layout,
-             std::int64_t segment_bytes) {
+/// ranks share: the group size and the segment count. An interval
+/// redistribution sends each segment to at most a handful of contiguous
+/// destinations (greedy chunks of a run no longer than the uniform quota
+/// span <= 4 ranks), so with k segments a rank reaches at most ~4k peers
+/// -- the estimated non-empty-destination fraction is min(4k, p-1)/(p-1).
+/// At f >= 1/2 the dense path wins (most peers are hit anyway); below it
+/// the coalesced path: segment exchanges know their receive expectations,
+/// and the expectation-terminated drain adds zero messages where the
+/// sparse collective pays two barriers. The segment limit does not enter
+/// the decision -- the coalesced path chunks its own messages.
+/// (ExchangeGroupwise is the kAuto branch that resolves to kSparse
+/// unconditionally: there receive counts are unknown and expectation-based
+/// termination is impossible.)
+Mode Resolve(Mode mode, int p, std::size_t k) {
   if (mode != Mode::kAuto) return mode;
   const std::int64_t max_targets = 4 * static_cast<std::int64_t>(k);
   if (2 * max_targets >= p - 1) return Mode::kAlltoallv;
-  if (segment_bytes > 0) {
-    std::int64_t max_cap = std::max(layout.cap_first, layout.cap_last);
-    if (p > 2) max_cap = std::max(max_cap, layout.quota);
-    const std::int64_t bound =
-        (static_cast<std::int64_t>(k) + max_cap) *
-        static_cast<std::int64_t>(sizeof(double));
-    if (bound > segment_bytes) return Mode::kSparse;
-  }
   return Mode::kCoalesced;
+}
+
+/// Wire chunk size of the coalesced path: each self-describing message
+/// ([k int64 counts][payload]) ships as consecutive byte pieces of this
+/// size, the last one shorter; 0 = unsegmented. Never below the counts
+/// header, so the first chunk always carries the whole header and the
+/// receiver can size the rest from it.
+std::size_t CoalescedChunkBytes(std::size_t header,
+                                std::int64_t segment_bytes) {
+  if (segment_bytes <= 0) return 0;
+  return std::max(static_cast<std::size_t>(segment_bytes), header);
+}
+
+/// Number of wire chunks of one coalesced message of `bytes` bytes.
+std::int64_t CoalescedChunksOf(std::size_t bytes, std::size_t chunk) {
+  if (chunk == 0) return 1;
+  return static_cast<std::int64_t>((bytes + chunk - 1) / chunk);
+}
+
+/// Length of the head chunk (bytes [0, head) of the message, sent last on
+/// the exchange tag) -- shared by sender and receiver so their chunk walks
+/// cannot diverge.
+std::size_t CoalescedHeadBytes(std::size_t bytes, std::size_t chunk) {
+  return chunk == 0 ? bytes : std::min(chunk, bytes);
 }
 
 /// Shared state of one in-flight segment exchange; the returned Poll holds
@@ -112,6 +119,7 @@ struct SegmentState {
   std::size_t k = 0;
   int tag = 0;
   std::int64_t segment_bytes = 0;
+  std::size_t chunk = 0;  // coalesced wire chunk bytes, 0 = unsegmented
   std::vector<Segment> segments;
   std::vector<std::int64_t> remaining;  // per segment, elements still owed
 
@@ -266,14 +274,53 @@ void SegmentState::UnpackMessage(const std::byte* msg, std::size_t size) {
 }
 
 bool SegmentState::DrainCoalesced() {
+  // Each source's message arrives as [head chunk][trailing chunks]: the
+  // head (on `tag`) carries the counts header, which fixes the message
+  // length and with the shared chunk size every trailing chunk's length.
+  // The sender injected the trailing chunks (on the chunk tag) before the
+  // head, so once the head is probed they already sit in the mailbox: the
+  // specific-source receives below never wait, and a janus rank's other
+  // group cannot interleave (one source belongs to one of its groups).
+  const std::size_t header = k * sizeof(std::int64_t);
   bool all = true;
   for (std::size_t j = 0; j < k; ++j) all &= remaining[j] == 0;
+  std::vector<std::byte> msg;
   while (!all) {
     Status st;
     if (!tr->IprobeAny(tag, &st)) return false;
-    std::vector<std::byte> msg(st.bytes);
+    if (st.bytes < header) {
+      throw mpisim::Error("jsort::exchange: malformed exchange message");
+    }
+    msg.resize(st.bytes);
     tr->Recv(msg.data(), static_cast<int>(st.bytes), Datatype::kByte,
              st.source, tag);
+    std::size_t len = header;
+    for (std::size_t j = 0; j < k; ++j) {
+      std::int64_t n = 0;
+      std::memcpy(&n, msg.data() + j * sizeof(std::int64_t), sizeof n);
+      if (n < 0 || n > remaining[j]) {
+        throw mpisim::Error(
+            "jsort::exchange: exchange message header exceeds the layout "
+            "overlap");
+      }
+      len += static_cast<std::size_t>(n) * sizeof(double);
+    }
+    if (st.bytes != CoalescedHeadBytes(len, chunk)) {
+      throw mpisim::Error(
+          "jsort::exchange: exchange message head disagrees with its "
+          "header");
+    }
+    msg.resize(len);
+    for (std::size_t at = st.bytes; at < len; at += chunk) {
+      const std::size_t piece = std::min(chunk, len - at);
+      Status cst;
+      tr->Recv(msg.data() + at, static_cast<int>(piece), Datatype::kByte,
+               st.source, ChunkTag(tag), &cst);
+      if (cst.bytes != piece) {
+        throw mpisim::Error(
+            "jsort::exchange: exchange message chunk has the wrong length");
+      }
+    }
     UnpackMessage(msg.data(), msg.size());
     all = true;
     for (std::size_t j = 0; j < k; ++j) all &= remaining[j] == 0;
@@ -286,7 +333,7 @@ bool SegmentState::DrainCoalesced() {
 std::int64_t ExscanCount(Transport& tr, std::int64_t mine, int tag) {
   std::int64_t incl = 0;
   Poll s = tr.Iscan(&mine, &incl, 1, Datatype::kInt64, ReduceOp::kSum, tag);
-  WaitPoll(s);
+  WaitPoll(s, "jsort::exchange: ExscanCount");
   return incl - mine;
 }
 
@@ -405,7 +452,8 @@ std::vector<double> ExchangeBuckets(Transport& tr,
       iota(static_cast<std::size_t>(p));
   for (int i = 0; i < p; ++i) iota[static_cast<std::size_t>(i)] = i;
   WaitPoll(tr.Ialltoallv(my_counts.data(), ones, iota, Datatype::kInt64,
-                         in_counts.data(), ones, iota, tag));
+                         in_counts.data(), ones, iota, tag),
+           "jsort::exchange: bucket counts round");
 
   // Payload round. The self block is a zero-count gap in the exchange
   // (matching sendcounts[me] == 0 above); its slot in `out` is filled
@@ -425,7 +473,8 @@ std::vector<double> ExchangeBuckets(Transport& tr,
             out.begin() + rdispls[static_cast<std::size_t>(me)]);
   WaitPoll(tr.Ialltoallv(elements.data(), sendcounts, sdispls,
                          Datatype::kFloat64, out.data(), recvcounts, rdispls,
-                         tag, segment_bytes));
+                         tag, segment_bytes),
+           "jsort::exchange: bucket payload round");
   if (stats != nullptr) {
     stats->messages_sent += p - 1;
     stats->elements_sent += total_out;  // self excluded
@@ -580,7 +629,8 @@ std::vector<double> ExchangeGroupwise(const std::shared_ptr<Transport>& tr,
     }
     std::vector<SparseDelivery> deliveries;
     WaitPoll(tr->IsparseAlltoallv(blocks, Datatype::kFloat64, &deliveries,
-                                  tag, segment_bytes));
+                                  tag, segment_bytes),
+             "jsort::exchange: group-wise sparse exchange");
     std::int64_t total = 0;
     for (const SparseDelivery& d : deliveries) {
       total += static_cast<std::int64_t>(d.bytes.size() / sizeof(double));
@@ -622,6 +672,11 @@ Poll StartSegmentExchange(const std::shared_ptr<Transport>& tr,
   if (tr == nullptr) {
     throw mpisim::UsageError("jsort::exchange: null transport");
   }
+  if (tag < 0 || tag >= kChunkTagBase) {
+    throw mpisim::UsageError(
+        "jsort::exchange: segment exchange tags must lie in [0, "
+        "kChunkTagBase) (the coalesced chunk-tag band starts there)");
+  }
   auto st = std::make_shared<SegmentState>();
   st->tr = tr;
   st->p = tr->Size();
@@ -659,11 +714,12 @@ Poll StartSegmentExchange(const std::shared_ptr<Transport>& tr,
 
   const Mode resolved = mode == Mode::kAuto && AutoHier(*tr)
                             ? Mode::kHierarchical
-                            : Resolve(mode, st->p, st->k, layout,
-                                      segment_bytes);
+                            : Resolve(mode, st->p, st->k);
   st->coalesced = resolved == Mode::kCoalesced;
   st->sparse = resolved == Mode::kSparse;
   const bool hier = resolved == Mode::kHierarchical;
+  const std::size_t header = st->k * sizeof(std::int64_t);
+  st->chunk = CoalescedChunkBytes(header, segment_bytes);
 
   // Per-destination totals (and traffic accounting) are mode-independent.
   std::int64_t nonempty = 0, elements = 0;
@@ -688,25 +744,24 @@ Poll StartSegmentExchange(const std::shared_ptr<Transport>& tr,
                                 ? nonempty
                                 : static_cast<std::int64_t>(st->p - 1);
     stats->elements_sent += elements;
-    // Wire-level accounting mirrors each backend's segmentation
-    // arithmetic: the dense path pipelines every per-peer block
-    // (zero-count blocks still cost one empty message), the sparse path
-    // chunks each self-describing message ([k int64s][payload]), the
-    // coalesced path ships unsegmented. The hierarchical path reports its
-    // wire traffic per phase after the run (AddHierStats) instead.
-    const std::size_t header = st->k * sizeof(std::int64_t);
+    // Wire-level accounting mirrors each path's segmentation arithmetic:
+    // the dense path pipelines every per-peer block (zero-count blocks
+    // still cost one empty message), the sparse and coalesced paths chunk
+    // each self-describing message ([k int64s][payload]). The hierarchical
+    // path reports its wire traffic per phase after the run (AddHierStats)
+    // instead.
     for (int d = 0; d < st->p && !hier; ++d) {
       if (d == st->me) continue;
       const std::int64_t to_d = st->sendcounts[static_cast<std::size_t>(d)];
+      const std::size_t bytes =
+          header + static_cast<std::size_t>(to_d) * sizeof(double);
       if (st->sparse) {
         if (to_d != 0) {
           stats->segments += mpisim::SparseChunksOf(
-              static_cast<std::int64_t>(header) +
-                  to_d * static_cast<std::int64_t>(sizeof(double)),
-              segment_bytes);
+              static_cast<std::int64_t>(bytes), segment_bytes);
         }
       } else if (st->coalesced) {
-        if (to_d != 0) stats->segments += 1;
+        if (to_d != 0) stats->segments += CoalescedChunksOf(bytes, st->chunk);
       } else {
         stats->segments += mpisim::AlltoallvSegmentsOf(
             to_d, sizeof(double), segment_bytes);
@@ -722,7 +777,6 @@ Poll StartSegmentExchange(const std::shared_ptr<Transport>& tr,
     // The coalesced path ships them as eager sends and the Poll drains
     // this rank's own expectations; the sparse path hands them to the
     // transport's barrier-terminated sparse collective instead.
-    const std::size_t header = st->k * sizeof(std::int64_t);
     std::vector<std::vector<std::byte>> msgs(
         static_cast<std::size_t>(st->p));
     std::vector<std::size_t> wcursor(static_cast<std::size_t>(st->p),
@@ -828,11 +882,21 @@ Poll StartSegmentExchange(const std::shared_ptr<Transport>& tr,
                                              &st->deliveries, tag,
                                              segment_bytes);
     } else {
+      // Pieces of at most st->chunk bytes: the trailing ones on the chunk
+      // tag first, then the head (counts header included) on `tag` --
+      // eager deposit in program order means a receiver that probes the
+      // head finds every trailing chunk already queued (DrainCoalesced).
       for (int d = 0; d < st->p; ++d) {
         const auto& msg = msgs[static_cast<std::size_t>(d)];
         if (msg.empty()) continue;
-        st->tr->Send(msg.data(), static_cast<int>(msg.size()),
-                     Datatype::kByte, d, tag);
+        const std::size_t head = CoalescedHeadBytes(msg.size(), st->chunk);
+        for (std::size_t at = head; at < msg.size(); at += st->chunk) {
+          st->tr->Send(msg.data() + at,
+                       static_cast<int>(std::min(st->chunk, msg.size() - at)),
+                       Datatype::kByte, d, ChunkTag(tag));
+        }
+        st->tr->Send(msg.data(), static_cast<int>(head), Datatype::kByte, d,
+                     tag);
       }
     }
     return [st] { return st->Step(); };

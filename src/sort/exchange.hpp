@@ -15,17 +15,23 @@
 //  * the coalesced path for skewed partitions -- when each rank sends to
 //    only a few destinations (jquick's greedy chunk assignment spans O(1)
 //    ranks per level), the dense counts exchange would dominate. Instead,
-//    all segments destined to one rank ship as a single self-describing
+//    all segments destined to one rank form a single self-describing
 //    message ([int64 counts[k]][payload]), and receivers drain
 //    membership-filtered probes until their precomputed expectations are
-//    met. One startup per non-empty destination, zero metadata rounds;
+//    met. Under a segment limit the message ships as byte pieces of at
+//    most segment_bytes: trailing pieces on a derived chunk tag
+//    (kChunkTagBase + tag), injected before the head piece, which carries
+//    the counts header; a receiver that probes the head sizes every
+//    trailing piece from the header and pulls them with specific-source
+//    receives. One startup per wire chunk of a non-empty destination,
+//    zero metadata rounds, no termination messages;
 //  * the sparse path -- the same self-describing one-message-per-non-empty-
 //    destination shipping, but delivered over the transport's sparse
 //    collective (Transport::IsparseAlltoallv), whose two-lightweight-
 //    barrier termination detection replaces the coalesced path's
 //    expectation-driven drain. One startup per non-empty destination plus
 //    O(log p) barrier tokens; the only sparse option when receive counts
-//    are unknown (ExchangeGroupwise), and the robust choice at scale.
+//    are unknown (ExchangeGroupwise).
 //
 // kAuto resolves among the three from globally shared quantities only (the
 // decision must be identical on every rank): the non-empty-destination
@@ -37,9 +43,9 @@
 // that the exchange is skewed and a sparse-style path wins; which one
 // depends on whether receive expectations exist: segment exchanges know
 // them from the layout arithmetic, so they take the coalesced path (its
-// expectation-driven termination adds zero messages), while group-wise
-// exchanges cannot know their receive counts and take the sparse path
-// (barrier-based termination, O(log p) tokens).
+// expectation-driven termination adds zero messages, at any segment
+// limit), while group-wise exchanges cannot know their receive counts and
+// take the sparse path (barrier-based termination, O(log p) tokens).
 #pragma once
 
 #include <cstdint>
@@ -58,11 +64,20 @@ namespace exchange {
 /// bench_sensitivity's segment_crossover sweep on the virtual cost model
 /// (p=16, n/p=2^15): 64 KiB is where segmentation stops costing the dense
 /// Alltoallv path (its per-peer blocks pipeline across the rbc rounds, so
-/// vtime stays within 0.5% of unsegmented) while the skewed jquick
-/// exchanges already gain ~2%, and smaller limits (4..16 KiB) tax one or
-/// both paths with per-chunk startups. Messages below the limit are
-/// unaffected; above it, memory per in-flight message stays bounded.
+/// vtime stays within 0.5% of unsegmented), and smaller limits (4..16 KiB)
+/// tax every path with per-chunk startups. Messages below the limit are
+/// unaffected; above it, memory per in-flight message stays bounded, and
+/// a coalesced (jquick) message pays (chunks - 1) extra startups (alpha)
+/// for its trailing chunks -- nothing else, no barriers or extra rounds.
 inline constexpr std::int64_t kDefaultSegmentBytes = 65536;
+
+/// First tag of the coalesced path's chunk-tag band: the trailing chunks
+/// of a segment exchange on `tag` travel on kChunkTagBase + tag, so
+/// StartSegmentExchange accepts only tags in [0, kChunkTagBase) and the
+/// band [kChunkTagBase, 2 * kChunkTagBase) -- just below RBC's reserved
+/// tags -- must stay free of other traffic of the group (see the tag map
+/// in rbc/collectives.hpp).
+inline constexpr int kChunkTagBase = 1 << 23;
 
 /// Per-rank traffic accounting of one redistribution. Counts payload
 /// messages only; the dense path's metadata (counts) round is excluded so
@@ -74,8 +89,9 @@ struct ExchangeStats {
   std::int64_t elements_sent = 0;
   /// Wire-level payload messages after large-message segmentation: every
   /// logical message counts its segments/chunks (== messages_sent when no
-  /// segment limit applies). Matches the backend arithmetic
-  /// (mpisim::AlltoallvSegmentsOf / SparseChunksOf) exactly, so tests can
+  /// segment limit applies). Matches the path arithmetic
+  /// (mpisim::AlltoallvSegmentsOf / SparseChunksOf, and ceil(bytes /
+  /// segment_bytes) for a coalesced message) exactly, so tests can
   /// reconcile this against the substrate's measured message counters.
   /// The hierarchical path reports its phase messages here (chunking
   /// excluded; see the per-level counters below).
@@ -94,7 +110,8 @@ struct ExchangeStats {
 enum class Mode {
   kAlltoallv,  // dense: counts exchange + Transport::Ialltoallv
   kCoalesced,  // skewed: one self-describing message per destination,
-               // expectation-terminated probe drain
+               // chunked under a segment limit, expectation-terminated
+               // probe drain (segment exchanges only)
   kSparse,     // skewed: one message per destination over the transport's
                // sparse collective (barrier-terminated, no expectations)
   kHierarchical,  // node-aware: per-destination traffic coalesces on each
@@ -108,12 +125,11 @@ enum class Mode {
                // with more than one node in the group: kHierarchical --
                // matching the exchange structure to the machine beats
                // every flat path on inter-node traffic. Otherwise:
-               // dense / coalesced / sparse by the estimated non-empty-
-               // destination fraction (see the header comment); with a
-               // segment limit, flips coalesced -> sparse exactly when a
-               // single per-destination message could exceed
-               // segment_bytes (the sparse backend chunks its payloads,
-               // the coalesced eager sends cannot)
+               // dense, or -- below the estimated non-empty-destination
+               // fraction of 1/2 -- coalesced for segment exchanges and
+               // sparse for group-wise ones (see the header comment).
+               // The segment limit never changes the choice: every path
+               // bounds its own wire messages
 };
 
 /// Exclusive prefix sum of per-rank element counts over the transport --
@@ -214,11 +230,13 @@ struct Segment {
 ///
 /// `segment_bytes` > 0 enables the large-message regime: the dense path
 /// pipelines its Alltoallv blocks, the sparse path chunks its payloads,
-/// and kAuto flips coalesced -> sparse exactly when the largest message
-/// any rank could owe one destination (bounded by the destination's
-/// capacity plus the k-counts header, a globally shared quantity) would
-/// exceed segment_bytes. A forced kCoalesced stays unsegmented: its
-/// expectation-terminated eager sends have no chunk protocol.
+/// and the coalesced path ships each per-destination message as pieces of
+/// at most max(segment_bytes, 8k) bytes (trailing pieces first, on tag
+/// kChunkTagBase + tag). kAuto ignores the limit.
+///
+/// `tag` must lie in [0, kChunkTagBase) on every path (UsageError
+/// otherwise), so the chunk tags of simultaneous exchanges never collide
+/// with exchange tags.
 ///
 /// The hierarchical path (kHierarchical, or kAuto on a two-level cost
 /// model when the group spans nodes) completes the whole exchange before

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cstring>
 #include <limits>
 #include <random>
@@ -118,8 +117,7 @@ class Driver {
 
  private:
   void DistributedPhase() {
-    const auto deadline = std::chrono::steady_clock::now() +
-                          mpisim::Ctx().runtime->options().deadlock_timeout;
+    const StallGuard guard("JQuick: distributed phase");
     while (!active_.empty()) {
       bool progressed = false;
       for (std::size_t i = 0; i < active_.size();) {
@@ -131,10 +129,7 @@ class Driver {
         }
       }
       if (!progressed) {
-        if (mpisim::Ctx().runtime->Aborted()) throw mpisim::AbortedError();
-        if (std::chrono::steady_clock::now() > deadline) {
-          throw mpisim::DeadlockError("JQuick: distributed phase stalled");
-        }
+        guard.Check();
         std::this_thread::yield();
       }
     }
@@ -522,11 +517,11 @@ std::vector<double> JQuickSortPadded(const std::shared_ptr<Transport>& world,
   std::int64_t quota = 0;
   {
     // Reduce+bcast via the transport's nonblocking primitives.
-    Poll r = world->Ireduce(&mine, &quota, 1, Datatype::kInt64,
-                            ReduceOp::kMax, 0, /*tag=*/96);
-    while (!r()) std::this_thread::yield();
-    Poll b = world->Ibcast(&quota, 1, Datatype::kInt64, 0, /*tag=*/97);
-    while (!b()) std::this_thread::yield();
+    WaitPoll(world->Ireduce(&mine, &quota, 1, Datatype::kInt64,
+                            ReduceOp::kMax, 0, /*tag=*/96),
+             "JQuickSortPadded: quota reduce");
+    WaitPoll(world->Ibcast(&quota, 1, Datatype::kInt64, 0, /*tag=*/97),
+             "JQuickSortPadded: quota bcast");
   }
   local.resize(static_cast<std::size_t>(quota),
                std::numeric_limits<double>::infinity());

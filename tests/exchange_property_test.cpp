@@ -3,10 +3,11 @@
 // dense, coalesced, sparse and segmented (large-message) delivery paths
 // across all three Transport backends and segment sizes {one element,
 // prime, larger than any payload}. Also pins down the large-message
-// contract itself: single wire messages stay bounded by segment_bytes,
-// ExchangeStats.segments reconciles with the substrate's measured message
-// counters, and Mode::kAuto flips coalesced -> sparse exactly at the
-// threshold.
+// contract itself: single wire messages stay bounded by segment_bytes on
+// every path, ExchangeStats.segments reconciles with the substrate's
+// measured message counters, Mode::kAuto stays on the barrier-free
+// coalesced path at any segment limit, and a janus rank's two same-tag
+// chunked exchanges stay apart.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -411,15 +412,16 @@ ExchangeStats RotationOnce(const std::shared_ptr<Transport>& tr,
   return stats;
 }
 
-/// Mode::kAuto must flip coalesced -> sparse exactly at the threshold:
-/// the largest possible per-destination message of this rotation is the
-/// 1-segment header (8 bytes) plus the destination capacity (cap * 8
-/// bytes). At segment_bytes == that bound kAuto stays coalesced (one
-/// whole message per destination, exactly one wire message); one byte
-/// below it must chunk via the sparse collective.
-TEST(ExchangeAutoThreshold, FlipsExactlyAtSegmentBytes) {
+/// Mode::kAuto must stay on the coalesced path on both sides of the
+/// largest per-destination message (the 1-segment header, 8 bytes, plus
+/// the destination capacity, cap * 8 bytes): at the bound the message
+/// ships whole, below it in ceil(bound / segment_bytes) chunks. Either
+/// way the exchange's only substrate traffic is its payload chunks -- the
+/// measured send delta equals stats.segments exactly, so there are no
+/// barrier tokens and no counts round.
+TEST(ExchangeAutoThreshold, StaysCoalescedAcrossSegmentBytes) {
   // p must clear the dense threshold (2 * 4k < p-1 with k = 1 segment) so
-  // kAuto reaches the coalesced-vs-sparse decision.
+  // kAuto reaches the skewed paths.
   constexpr int kP = 12;
   constexpr std::int64_t kCap = 16;
   constexpr std::int64_t kBound = 8 + kCap * 8;  // header + payload bytes
@@ -428,27 +430,22 @@ TEST(ExchangeAutoThreshold, FlipsExactlyAtSegmentBytes) {
     rbc::Create_RBC_Comm(world, &rw);
     auto tr = jsort::MakeRbcTransport(rw);
     const CapacityLayout layout = UniformLayout(kP, kCap);
-
-    // At the bound: coalesced, single unsegmented wire message, and the
-    // only substrate traffic of the exchange is that one payload send.
-    const std::uint64_t before_at = mpisim::Ctx().stats.messages_sent;
-    const ExchangeStats at =
-        RotationOnce(tr, layout, Mode::kAuto, 51, kBound);
-    const std::uint64_t sent_at =
-        mpisim::Ctx().stats.messages_sent - before_at;
-    EXPECT_EQ(at.messages_sent, 1);
-    EXPECT_EQ(at.segments, 1);
-    EXPECT_EQ(sent_at, 1u);  // coalesced: no barriers, no counts round
-
-    // One byte below: sparse, chunked. Chunk capacity is kBound - 1 - 8
-    // payload bytes per message, so the 8 + kCap*8 byte message needs
-    // exactly two chunks.
-    const ExchangeStats below =
-        RotationOnce(tr, layout, Mode::kAuto, 52, kBound - 1);
-    EXPECT_EQ(below.messages_sent, 1);
-    EXPECT_EQ(below.segments,
-              mpisim::SparseChunksOf(kBound, kBound - 1));
-    EXPECT_EQ(below.segments, 2);
+    struct Case {
+      std::int64_t seg;
+      int tag;
+      std::int64_t chunks;
+    };
+    for (const Case c : {Case{kBound, 51, 1}, Case{kBound - 1, 52, 2},
+                         Case{48, 53, 3}}) {
+      const std::uint64_t before = mpisim::Ctx().stats.messages_sent;
+      const ExchangeStats st = RotationOnce(tr, layout, Mode::kAuto, c.tag,
+                                            c.seg);
+      const std::uint64_t sent = mpisim::Ctx().stats.messages_sent - before;
+      EXPECT_EQ(st.messages_sent, 1) << "seg " << c.seg;
+      EXPECT_EQ(st.segments, c.chunks) << "seg " << c.seg;
+      EXPECT_EQ(sent, static_cast<std::uint64_t>(st.segments))
+          << "seg " << c.seg;
+    }
   });
 }
 
@@ -503,8 +500,7 @@ TEST(ExchangeAutoThreshold, SegmentsConsistentWithMeasuredMessages) {
 }
 
 /// The whole point of the large-message regime: on a skewed workload no
-/// single wire message of the segmented paths exceeds segment_bytes,
-/// while the unsegmented coalesced path ships the whole payload at once.
+/// single wire message of any flat path exceeds segment_bytes.
 TEST(ExchangeSegmentBound, MaxMessageBoundedBySegmentBytes) {
   constexpr int kP = 6;
   constexpr std::int64_t kCap = 512;  // 4 KiB payload per destination
@@ -530,8 +526,85 @@ TEST(ExchangeSegmentBound, MaxMessageBoundedBySegmentBytes) {
     mpisim::Barrier(world);
     mpisim::Ctx().stats.max_message_bytes = 0;
     RotationOnce(tr, layout, Mode::kCoalesced, 57, kSeg);
-    EXPECT_EQ(mpisim::Ctx().stats.max_message_bytes,
-              static_cast<std::uint64_t>(8 + kCap * 8));
+    EXPECT_LE(mpisim::Ctx().stats.max_message_bytes,
+              static_cast<std::uint64_t>(kSeg));
+  });
+}
+
+/// JQuick's janus pattern at the exchange layer: two StartSegmentExchange
+/// calls on the groups [0..k] and [k..p-1], which share only rank k, on
+/// the same tag and in flight at once on the janus. Each group runs a
+/// rotation (every rank's run is its successor's interval), so the janus
+/// receives one message per group on that tag; under `seg` each message
+/// ships as several chunks on the shared chunk tag. Returns this rank's
+/// sinks per group (empty for a group it is not in) and adds the traffic
+/// to `stats`.
+std::vector<std::vector<double>> JanusRotation(
+    const std::shared_ptr<Transport>& world, int k, std::int64_t cap,
+    int tag, std::int64_t seg, ExchangeStats* stats) {
+  const int r = world->Rank();
+  const int p = world->Size();
+  std::shared_ptr<Transport> groups[2];
+  if (r <= k) groups[0] = world->Split(0, k);
+  if (r >= k) groups[1] = world->Split(k, p - 1);
+  std::vector<std::vector<double>> sinks(2);
+  std::vector<jsort::Poll> polls;
+  for (int g = 0; g < 2; ++g) {
+    const std::shared_ptr<Transport>& tr = groups[g];
+    if (tr == nullptr) continue;
+    const CapacityLayout layout = UniformLayout(tr->Size(), cap);
+    const int owner = (tr->Rank() + 1) % tr->Size();
+    const std::int64_t begin = layout.PrefixBefore(owner);
+    std::vector<double> data(static_cast<std::size_t>(cap));
+    for (std::int64_t i = 0; i < cap; ++i) {
+      data[static_cast<std::size_t>(i)] = g * 1.0e6 +
+                                          static_cast<double>(begin + i);
+    }
+    std::vector<Segment> segs{
+        Segment{data.data(), cap, begin, &sinks[static_cast<std::size_t>(g)],
+                cap}};
+    polls.push_back(jsort::exchange::StartSegmentExchange(
+        tr, layout, std::move(segs), tag, Mode::kCoalesced, stats, seg));
+  }
+  for (bool done = false; !done;) {
+    done = true;
+    for (const jsort::Poll& poll : polls) done = poll() && done;
+    if (!done) std::this_thread::yield();
+  }
+  return sinks;
+}
+
+class ExchangeJanus : public ::testing::TestWithParam<Backend> {};
+
+INSTANTIATE_TEST_SUITE_P(Backends, ExchangeJanus,
+                         ::testing::Values(Backend::kRbc, Backend::kMpi,
+                                           Backend::kIcomm));
+
+TEST_P(ExchangeJanus, SameTagChunkedMatchesUnsegmented) {
+  constexpr int kP = 7;
+  constexpr int kJanus = 3;
+  constexpr std::int64_t kCap = 64;   // 8 + 512 bytes per message
+  constexpr std::int64_t kSeg = 200;  // -> 3 chunks per message
+  const Backend b = GetParam();
+  RunRanks(kP, [&](mpisim::Comm& world) {
+    auto tr = Make(b, world);
+    ExchangeStats whole, chunked;
+    const auto expect = JanusRotation(tr, kJanus, kCap, 81, 0, &whole);
+    const auto got = JanusRotation(tr, kJanus, kCap, 82, kSeg, &chunked);
+    EXPECT_EQ(got, expect);
+    const int r = tr->Rank();
+    for (int g = 0; g < 2; ++g) {
+      const bool member = g == 0 ? r <= kJanus : r >= kJanus;
+      const int gr = g == 0 ? r : r - kJanus;  // group rank
+      std::vector<double> mine;
+      for (std::int64_t i = 0; member && i < kCap; ++i) {
+        mine.push_back(g * 1.0e6 + static_cast<double>(gr * kCap + i));
+      }
+      EXPECT_EQ(got[static_cast<std::size_t>(g)], mine) << "group " << g;
+    }
+    EXPECT_EQ(whole.segments, whole.messages_sent);
+    EXPECT_EQ(chunked.messages_sent, whole.messages_sent);
+    EXPECT_EQ(chunked.segments, 3 * chunked.messages_sent);
   });
 }
 

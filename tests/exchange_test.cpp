@@ -460,6 +460,29 @@ TEST(ExchangePlan, PlanFromIntervalMatchesChunks) {
   EXPECT_EQ(plan.displs[3], 16);
 }
 
+TEST(ExchangeTags, SegmentExchangeRejectsChunkBandTags) {
+  // The coalesced path's trailing chunks travel on kChunkTagBase + tag, so
+  // exchange tags must stay below the band (and non-negative), whatever
+  // the mode.
+  RunRanks(2, [](mpisim::Comm& world) {
+    rbc::Comm rw;
+    rbc::Create_RBC_Comm(world, &rw);
+    auto tr = jsort::MakeRbcTransport(rw);
+    const CapacityLayout layout{.p = 2, .quota = 1, .cap_first = 1,
+                                .cap_last = 1};
+    for (const int tag : {-1, jsort::exchange::kChunkTagBase}) {
+      for (const Mode mode : {Mode::kCoalesced, Mode::kAlltoallv}) {
+        std::vector<double> sink;
+        std::vector<Segment> segs{Segment{nullptr, 0, 0, &sink, 0}};
+        EXPECT_THROW(jsort::exchange::StartSegmentExchange(
+                         tr, layout, std::move(segs), tag, mode),
+                     mpisim::UsageError)
+            << "tag " << tag;
+      }
+    }
+  });
+}
+
 /// JQuick routed through each forced exchange mode still sorts correctly
 /// on every backend (the kAuto path is covered by the existing jquick
 /// tests).

@@ -2,6 +2,8 @@
 // distributions (the paper assumes n = p * (n/p); padding generalizes it).
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
 #include <tuple>
 
 #include "sort/checks.hpp"
@@ -90,6 +92,38 @@ TEST(Padded, InfinityInputsSurviveSentinelStripping) {
     EXPECT_EQ(before, jsort::GlobalFingerprint(out, rw));
     EXPECT_TRUE(jsort::IsGloballySorted(out, rw));
   });
+}
+
+TEST(Padded, QuotaWaitAbortsWhenPeerFails) {
+  // The quota agreement's reduce root fails before joining; every other
+  // rank waits in the quota reduce/bcast and must leave it with
+  // AbortedError naming the root instead of spinning forever.
+  constexpr int kRanks = 4;
+  testutil::PerRank<int> origins(kRanks);
+  mpisim::Runtime::Options opts;
+  opts.num_ranks = kRanks;
+  opts.deadlock_timeout = std::chrono::milliseconds(30'000);
+  mpisim::Runtime rt(opts);
+  try {
+    rt.Run([&](mpisim::Comm& world) {
+      if (world.Rank() == 0) throw mpisim::Error("root exploding");
+      rbc::Comm rw;
+      rbc::Create_RBC_Comm(world, &rw);
+      try {
+        jsort::JQuickSortPadded(jsort::MakeRbcTransport(rw), {1.0, 2.0});
+      } catch (const mpisim::AbortedError& e) {
+        origins.Set(world.Rank(), e.origin_rank());
+        return;
+      }
+      ADD_FAILURE() << "rank " << world.Rank() << " was not aborted";
+    });
+    ADD_FAILURE() << "expected the injected failure to re-throw";
+  } catch (const mpisim::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("root exploding"),
+              std::string::npos)
+        << e.what();
+  }
+  for (int r = 1; r < kRanks; ++r) EXPECT_EQ(origins[r], 0) << "rank " << r;
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // wildcard operations of Section V-C.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <functional>
 #include <vector>
 
 #include "testutil.hpp"
@@ -104,6 +106,96 @@ TEST(RbcP2P, IprobeReportsFalseForForeignHeadOfQueue) {
       rbc::Recv(&got, 1, Datatype::kInt32, st.source, 7, right);
       EXPECT_EQ(got, 1);
     }
+  });
+}
+
+/// Janus setup for the foreign-first regressions: MPI rank 1 is in both
+/// left {0,1} and right {1,2,3}. Rank 3 queues a right-range message at
+/// rank 1 first, then signals rank 0, which only then queues its
+/// left-range message and a "both queued" token. The mailbox order at
+/// rank 1 is therefore deterministic: foreign (for `left`) message first,
+/// member message behind it. `check` runs on rank 1 once both are queued.
+/// A short deadlock timeout turns a regressed wildcard wait into a fast
+/// DeadlockError instead of a 60 s hang.
+void RunForeignFirst(
+    const std::function<void(const rbc::Comm& left, const rbc::Comm& right)>&
+        check) {
+  mpisim::Runtime::Options opts;
+  opts.num_ranks = 4;
+  opts.deadlock_timeout = std::chrono::milliseconds(5000);
+  RunRanks(opts, [&](mpisim::Comm& world, mpisim::Runtime&) {
+    rbc::Comm rw, left, right;
+    rbc::Create_RBC_Comm(world, &rw);
+    rbc::Split_RBC_Comm(rw, 0, 1, &left);
+    rbc::Split_RBC_Comm(rw, 1, 3, &right);
+    constexpr int kTag = 7;
+    const int token = 0;
+    if (world.Rank() == 3) {
+      const int v = 40;
+      rbc::Send(&v, 1, Datatype::kInt32, 0, kTag, right);  // to MPI rank 1
+      rbc::Send(&token, 1, Datatype::kInt32, 0, 9, rw);
+    } else if (world.Rank() == 0) {
+      int got = 0;
+      rbc::Recv(&got, 1, Datatype::kInt32, 3, 9, rw);
+      const int v = 10;
+      rbc::Send(&v, 1, Datatype::kInt32, 1, kTag, left);  // to MPI rank 1
+      rbc::Send(&token, 1, Datatype::kInt32, 1, 8, left);
+    } else if (world.Rank() == 1) {
+      int got = 0;
+      rbc::Recv(&got, 1, Datatype::kInt32, 0, 8, left);
+      check(left, right);
+    }
+  });
+}
+
+TEST(RbcP2P, IprobeFindsMemberBehindForeignHead) {
+  RunForeignFirst([](const rbc::Comm& left, const rbc::Comm& right) {
+    int flag = 0;
+    rbc::Status st;
+    rbc::Iprobe(rbc::kAnySource, 7, left, &flag, &st);
+    ASSERT_EQ(flag, 1);
+    EXPECT_EQ(st.source, 0);
+    int got = 0;
+    rbc::Recv(&got, 1, Datatype::kInt32, st.source, 7, left);
+    EXPECT_EQ(got, 10);
+    rbc::Iprobe(rbc::kAnySource, 7, right, &flag, &st);
+    ASSERT_EQ(flag, 1);
+    EXPECT_EQ(st.source, 2);  // MPI rank 3 is RBC rank 2 of `right`
+    rbc::Recv(&got, 1, Datatype::kInt32, st.source, 7, right);
+    EXPECT_EQ(got, 40);
+  });
+}
+
+TEST(RbcP2P, ProbeWildcardFindsMemberBehindForeignHead) {
+  RunForeignFirst([](const rbc::Comm& left, const rbc::Comm& right) {
+    rbc::Status st;
+    rbc::Probe(rbc::kAnySource, 7, left, &st);
+    EXPECT_EQ(st.source, 0);
+    int got = 0;
+    rbc::Recv(&got, 1, Datatype::kInt32, rbc::kAnySource, 7, left, &st);
+    EXPECT_EQ(got, 10);
+    EXPECT_EQ(st.source, 0);
+    rbc::Recv(&got, 1, Datatype::kInt32, rbc::kAnySource, 7, right, &st);
+    EXPECT_EQ(got, 40);
+    EXPECT_EQ(st.source, 2);
+  });
+}
+
+TEST(RbcP2P, IrecvWildcardFindsMemberBehindForeignHead) {
+  RunForeignFirst([](const rbc::Comm& left, const rbc::Comm& right) {
+    int got = 0;
+    rbc::Request req;
+    rbc::Irecv(&got, 1, Datatype::kInt32, rbc::kAnySource, 7, left, &req);
+    int flag = 0;
+    rbc::Status st;
+    rbc::Test(&req, &flag, &st);  // both messages are queued already
+    ASSERT_EQ(flag, 1);
+    EXPECT_EQ(got, 10);
+    EXPECT_EQ(st.source, 0);
+    rbc::Irecv(&got, 1, Datatype::kInt32, rbc::kAnySource, 7, right, &req);
+    rbc::Wait(&req, &st);
+    EXPECT_EQ(got, 40);
+    EXPECT_EQ(st.source, 2);
   });
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <vector>
 
@@ -207,6 +208,71 @@ TEST(RbcSparse, SubRangeIgnoresNonMembers) {
     rbc::SparseAlltoallv(sends, Datatype::kFloat64, &got, sub, 5);
     ASSERT_EQ(got.size(), 1u);
     EXPECT_EQ(got[0].source, (me + p - 1) % p);
+  });
+}
+
+TEST(RbcSparse, SameTagExchangesOnRangesSharingOneRank) {
+  // Two same-tag sparse exchanges on A = {0,1,2} and B = {2,3,4}, which
+  // share only the janus rank 2 -- the pattern of JQuick's janus levels.
+  // B's members start their exchange and queue their payloads at rank 2
+  // before A's members send theirs (token handshake), so when rank 2 runs
+  // A, foreign B messages sit ahead of every A message in its mailbox.
+  // A's drain after barrier A must still find all of A's messages.
+  constexpr int kTag = 11;
+  mpisim::Runtime::Options opts;
+  opts.num_ranks = 5;
+  opts.deadlock_timeout = std::chrono::milliseconds(5000);
+  testutil::RunRanks(opts, [](mpisim::Comm& world, mpisim::Runtime&) {
+    rbc::Comm rw, a, b;
+    rbc::Create_RBC_Comm(world, &rw);
+    rbc::Split_RBC_Comm(rw, 0, 2, &a);
+    rbc::Split_RBC_Comm(rw, 2, 4, &b);
+    const int r = world.Rank();
+    const int token = 0;
+    // Every non-janus member sends one block to the janus (RBC rank 2 of
+    // A, RBC rank 0 of B); the janus sends nothing.
+    auto to_janus = [&](int janus_rank, const std::vector<double>& payload) {
+      return std::vector<SparseSendBlock>{SparseSendBlock{
+          janus_rank, payload.data(), static_cast<int>(payload.size())}};
+    };
+    if (r >= 3) {
+      const std::vector<double> payload = PayloadOf(r, 2, 1);
+      std::vector<SparseRecvMessage> got;
+      rbc::Request req;
+      rbc::IsparseAlltoallv(to_janus(0, payload), Datatype::kFloat64, &got, b,
+                            &req, kTag);
+      rbc::Send(&token, 1, Datatype::kInt32, 0, 9, rw);  // B queued at 2
+      rbc::Send(&token, 1, Datatype::kInt32, 1, 9, rw);
+      rbc::Wait(&req);
+      EXPECT_TRUE(got.empty());
+    } else if (r <= 1) {
+      int t = 0;
+      rbc::Recv(&t, 1, Datatype::kInt32, 3, 9, rw);
+      rbc::Recv(&t, 1, Datatype::kInt32, 4, 9, rw);
+      const std::vector<double> payload = PayloadOf(r, 2, 0);
+      std::vector<SparseRecvMessage> got;
+      rbc::SparseAlltoallv(to_janus(2, payload), Datatype::kFloat64, &got, a,
+                           kTag);
+      EXPECT_TRUE(got.empty());
+    } else {
+      std::vector<SparseRecvMessage> got_a, got_b;
+      rbc::SparseAlltoallv({}, Datatype::kFloat64, &got_a, a, kTag);
+      ASSERT_EQ(got_a.size(), 2u);
+      for (int s = 0; s < 2; ++s) {
+        EXPECT_EQ(got_a[static_cast<std::size_t>(s)].source, s);
+        EXPECT_EQ(AsDoubles(got_a[static_cast<std::size_t>(s)].bytes),
+                  PayloadOf(s, 2, 0));
+      }
+      rbc::Request req;  // B's members all use the nonblocking form
+      rbc::IsparseAlltoallv({}, Datatype::kFloat64, &got_b, b, &req, kTag);
+      rbc::Wait(&req);
+      ASSERT_EQ(got_b.size(), 2u);
+      for (int s = 1; s <= 2; ++s) {
+        EXPECT_EQ(got_b[static_cast<std::size_t>(s - 1)].source, s);
+        EXPECT_EQ(AsDoubles(got_b[static_cast<std::size_t>(s - 1)].bytes),
+                  PayloadOf(s + 2, 2, 1));
+      }
+    }
   });
 }
 
