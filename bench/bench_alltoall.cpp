@@ -83,10 +83,9 @@ void SkewSweepAt(benchutil::BenchContext& ctx, int p, int reps) {
         std::vector<jsort::exchange::Segment> segs(1);
         segs[0] = jsort::exchange::Segment{data.data(), cap, begin, &sink,
                                            cap};
-        jsort::Poll poll = jsort::exchange::StartSegmentExchange(
-            tr, layout, std::move(segs), 19, mode);
-        while (!poll()) {
-        }
+        mpisim::WaitUntil(jsort::exchange::StartSegmentExchange(
+                              tr, layout, std::move(segs), 19, mode),
+                          "bench_alltoall: segment exchange");
       };
       for (auto mode : {jsort::exchange::Mode::kAlltoallv,
                         jsort::exchange::Mode::kCoalesced,
@@ -149,10 +148,9 @@ void LargeMessageSweepAt(benchutil::BenchContext& ctx, int p, int cap,
       std::vector<jsort::exchange::Segment> segs(1);
       segs[0] = jsort::exchange::Segment{data.data(), cap, begin, &sink,
                                          cap};
-      jsort::Poll poll = jsort::exchange::StartSegmentExchange(
-          tr, layout, std::move(segs), 19, mode, stats, seg);
-      while (!poll()) {
-      }
+      mpisim::WaitUntil(jsort::exchange::StartSegmentExchange(
+                            tr, layout, std::move(segs), 19, mode, stats, seg),
+                        "bench_alltoall: segment exchange");
     };
     for (auto mode : {jsort::exchange::Mode::kAlltoallv,
                       jsort::exchange::Mode::kSparse}) {

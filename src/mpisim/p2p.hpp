@@ -1,5 +1,6 @@
 // Point-to-point operations: Send/Recv, Isend/Irecv, Probe/Iprobe,
-// Test/Wait/Testall/Waitall.
+// Test/Wait/Testall/Waitall, and WaitUntil -- the one poll-until-done loop
+// every layer above uses.
 //
 // The substrate uses an eager protocol: sends buffer the payload into the
 // destination mailbox and complete immediately. This mirrors the
@@ -8,7 +9,9 @@
 // clock still charges full single-ported costs on both endpoints.
 #pragma once
 
+#include <functional>
 #include <span>
+#include <string_view>
 
 #include "mpisim/comm.hpp"
 #include "mpisim/datatype.hpp"
@@ -52,6 +55,15 @@ void Sendrecv(const void* sendbuf, int sendcount, Datatype sdt, int dest,
 
 /// Tests a request for completion (progresses it).
 bool Test(Request& req, Status* st = nullptr);
+
+/// The tree's one wait loop: polls until `poll()` returns true, yielding
+/// between polls (ranks are threads, typically more than cores). After a
+/// failed first poll the rank registers as blocked in `what` (known=false:
+/// a poll may complete without any new message, waitgraph.hpp), throws
+/// AbortedError naming the first failed rank once the runtime aborted, and
+/// DeadlockError with the per-rank wait graph once the runtime's
+/// deadlock_timeout has passed.
+void WaitUntil(const std::function<bool()>& poll, std::string_view what);
 
 /// Blocks (spinning with yields) until the request completes.
 void Wait(Request& req, Status* st = nullptr);

@@ -10,11 +10,13 @@
 //    patterns and no queued mailbox message matches any of them, no
 //    future progress is possible: the registering rank dumps the wait
 //    graph and raises DeadlockError immediately -- milliseconds instead
-//    of the wall-clock timeout. Spin-waits on request state machines
-//    (Wait/Waitall, rbc progress loops, service wave barriers) can
-//    complete without receiving anything, so they register with
-//    known=false and conservatively disable proactive detection while
-//    they are blocked; the timeout path below still covers them.
+//    of the wall-clock timeout. Spin-waits -- every mpisim::WaitUntil
+//    (Wait/Waitall, rbc blocking calls and rbc::Wait/Waitall, the sorters'
+//    and query kernels' collectives, the checkers, the service's verify
+//    collectives) and the service wave barrier -- can complete without
+//    receiving anything, so they register with known=false and
+//    conservatively disable proactive detection while they are blocked;
+//    the timeout path below still covers them.
 //
 //    Detection demands a deterministic proof before it fires: besides
 //    every pattern being unsatisfiable, every other rank's waiter must be
@@ -28,11 +30,11 @@
 //    timeout forensics below cover the deadlock instead.
 //
 //  * Timeout forensics. Every timeout path (blocking receive/probe,
-//    Wait/Waitall spins, rbc spins, the service's out-of-band wave
-//    barrier) appends the same per-rank wait graph -- who is blocked in
-//    what call, on which source/tag/communicator, at what virtual time,
-//    with the pending mailbox contents -- to its DeadlockError instead of
-//    the former bare one-liner.
+//    mpisim::WaitUntil, the service's out-of-band wave barrier) appends
+//    the same per-rank wait graph -- who is blocked in what call, on
+//    which source/tag/communicator, at what virtual time, with the
+//    pending mailbox contents -- to its DeadlockError instead of the
+//    former bare one-liner.
 #pragma once
 
 #include <cstdint>

@@ -9,8 +9,6 @@
 // produce bit-identical answers.
 #pragma once
 
-#include <thread>
-
 #include "sort/transport.hpp"
 
 namespace jsort::query {
@@ -24,20 +22,15 @@ inline constexpr int kTopKTagBase = 7110;
 inline constexpr int kQuantileTagBase = 7120;
 inline constexpr int kQueryVerifyTagBase = 7130;
 
-/// Drives a nonblocking operation to completion. Yields between polls --
-/// the simulated ranks are threads, typically more of them than cores,
-/// and a non-yielding spin starves whichever thread must make progress.
-inline void Wait(const Poll& poll) {
-  while (!poll()) std::this_thread::yield();
-}
-
 /// Blocking allreduce over a Transport, composed from the two collectives
 /// every backend provides: Ireduce to group rank 0 on `tag`, then Ibcast
 /// of the result on `tag + 1`. `in` and `out` must not alias.
 inline void Allreduce(Transport& tr, const void* in, void* out, int count,
                       Datatype dt, ReduceOp op, int tag) {
-  Wait(tr.Ireduce(in, out, count, dt, op, 0, tag));
-  Wait(tr.Ibcast(out, count, dt, 0, tag + 1));
+  mpisim::WaitUntil(tr.Ireduce(in, out, count, dt, op, 0, tag),
+                    "jsort::query: allreduce reduce");
+  mpisim::WaitUntil(tr.Ibcast(out, count, dt, 0, tag + 1),
+                    "jsort::query: allreduce bcast");
 }
 
 }  // namespace jsort::query

@@ -41,7 +41,9 @@ std::vector<double> SparseGatherSorted(Transport& tr,
         am_root ? 0 : static_cast<std::int64_t>(mine.size());
   }
   std::vector<SparseDelivery> received;
-  Wait(tr.IsparseAlltoallv(sends, Datatype::kFloat64, &received, tag));
+  mpisim::WaitUntil(
+      tr.IsparseAlltoallv(sends, Datatype::kFloat64, &received, tag),
+      "jsort::query: top-k candidate exchange");
   if (!am_root) return {};
   std::vector<double> out = std::move(mine);
   for (const SparseDelivery& msg : received) {

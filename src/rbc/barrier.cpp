@@ -55,7 +55,7 @@ int Barrier(const Comm& comm) {
   detail::RunToCompletion(
       std::make_shared<detail::BarrierSM>(comm, kTagBarrierUp,
                                           kTagBarrierDown),
-      "Barrier");
+      "rbc: Barrier");
   return 0;
 }
 

@@ -1,8 +1,6 @@
 #include "rbc/p2p.hpp"
 
-#include <chrono>
 #include <string>
-#include <thread>
 
 #include "rbc/tags.hpp"
 
@@ -57,28 +55,6 @@ class TranslatedRequest final : public RequestImpl {
 };
 
 }  // namespace
-
-void SpinUntil(const std::function<bool()>& poll, const char* what) {
-  if (poll()) return;  // fast path: completed already, no registration
-  mpisim::RankContext& rc = mpisim::Ctx();
-  // Register as a spin-wait (known=false): the schedule's data dependency
-  // is not a single envelope pattern, so proactive detection stands down
-  // and the timeout forensics below cover the deadlock case.
-  mpisim::ScopedWait guard(mpisim::MakeWait(std::string("rbc: ") + what));
-  const auto deadline = std::chrono::steady_clock::now() +
-                        rc.runtime->options().deadlock_timeout;
-  while (!poll()) {
-    if (rc.runtime->Aborted()) {
-      throw mpisim::AbortedError(rc.runtime->FirstFailedRank());
-    }
-    if (std::chrono::steady_clock::now() > deadline) {
-      throw mpisim::DeadlockError(mpisim::BuildDeadlockReport(
-          *rc.runtime, std::string("rbc: ") + what +
-                           " timed out (suspected deadlock)"));
-    }
-    std::this_thread::yield();
-  }
-}
 
 // Every operation runs on the MPI communicator's user channel. Wildcard
 // forms pass the range as the match's source filter (Comm::Members), so

@@ -86,7 +86,7 @@ int Reduce(const void* sendbuf, void* recvbuf, int count, Datatype dt,
                              count, mpisim::SizeOf(dt)));
   detail::RunToCompletion(detail::MakeReduceSM(sendbuf, recvbuf, count, dt,
                                                op, root, comm, kTagReduce),
-                          "Reduce");
+                          "rbc: Reduce");
   return 0;
 }
 

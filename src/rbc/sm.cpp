@@ -4,7 +4,7 @@ namespace rbc::detail {
 
 void RunToCompletion(std::shared_ptr<RequestImpl> sm, const char* what) {
   Request req(std::move(sm));
-  SpinUntil([&] { return req.Poll(nullptr); }, what);
+  mpisim::WaitUntil([&] { return req.Poll(nullptr); }, what);
 }
 
 }  // namespace rbc::detail

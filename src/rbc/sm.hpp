@@ -43,7 +43,8 @@ inline void ValidateCollective(const Comm& comm, int root, const char* op) {
 /// Runs a freshly-built state machine to completion (the blocking form of
 /// every RBC collective is its nonblocking form plus Wait, which matches
 /// the paper's "implemented with point-to-point communication provided by
-/// the RBC library").
+/// the RBC library"). `what` names the wait in deadlock reports
+/// (mpisim::WaitUntil).
 void RunToCompletion(std::shared_ptr<RequestImpl> sm, const char* what);
 
 /// Cross-file state-machine factories (barrier chains reduce + bcast).

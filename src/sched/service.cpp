@@ -119,10 +119,9 @@ bool VerifyJob(const std::shared_ptr<Transport>& sub, const JobSpec& spec,
       out.empty() ? 0.0 : out.back(),
   };
   std::vector<double> all(static_cast<std::size_t>(4 * p));
-  Poll gather = sub->Igather(desc, 4, Datatype::kFloat64, all.data(), 0,
-                             kVerifyGatherTag);
-  while (!gather()) {
-  }
+  mpisim::WaitUntil(sub->Igather(desc, 4, Datatype::kFloat64, all.data(), 0,
+                                 kVerifyGatherTag),
+                    "SortService: verify gather");
   double verdict = 1.0;
   if (sub->Rank() == 0) {
     bool ok = true;
@@ -143,10 +142,9 @@ bool VerifyJob(const std::shared_ptr<Transport>& sub, const JobSpec& spec,
     ok = ok && total == spec.n_total;
     verdict = ok ? 1.0 : 0.0;
   }
-  Poll bcast =
-      sub->Ibcast(&verdict, 1, Datatype::kFloat64, 0, kVerifyVerdictTag);
-  while (!bcast()) {
-  }
+  mpisim::WaitUntil(
+      sub->Ibcast(&verdict, 1, Datatype::kFloat64, 0, kVerifyVerdictTag),
+      "SortService: verify verdict bcast");
   rc.clock.Reset();
   rc.clock.Advance(saved);
   return verdict != 0.0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 namespace jsort {
@@ -28,14 +27,12 @@ std::uint64_t BitsOf(double v) {
 /// Blocking allreduce over a Transport (Ireduce to rank 0 + Ibcast),
 /// mirroring jsort::query's helper; the checkers run over Transport so
 /// they verify on whichever backend produced the answer.
-void TrWait(const Poll& poll) {
-  while (!poll()) std::this_thread::yield();
-}
-
 void TrAllreduce(Transport& tr, const void* in, void* out, int count,
                  Datatype dt, ReduceOp op, int tag) {
-  TrWait(tr.Ireduce(in, out, count, dt, op, 0, tag));
-  TrWait(tr.Ibcast(out, count, dt, 0, tag + 1));
+  mpisim::WaitUntil(tr.Ireduce(in, out, count, dt, op, 0, tag),
+                    "jsort checks: allreduce reduce");
+  mpisim::WaitUntil(tr.Ibcast(out, count, dt, 0, tag + 1),
+                    "jsort checks: allreduce bcast");
 }
 
 }  // namespace
@@ -136,7 +133,8 @@ bool VerifyTopK(Transport& tr, std::span<const double> local, std::int64_t k,
     head[1] = std::is_sorted(topk.begin(), topk.end()) ? 1.0 : 0.0;
     head[2] = topk.empty() ? 0.0 : topk.back();
   }
-  TrWait(tr.Ibcast(head, 3, Datatype::kFloat64, root, tag + 2));
+  mpisim::WaitUntil(tr.Ibcast(head, 3, Datatype::kFloat64, root, tag + 2),
+                    "VerifyTopK: head bcast");
   const auto m = static_cast<std::int64_t>(head[0]);
   if (m != expect || head[1] == 0.0) return false;
   if (m == 0) return true;
@@ -177,7 +175,8 @@ bool VerifyTopK(Transport& tr, std::span<const double> local, std::int64_t k,
              ? 1
              : 0;
   }
-  TrWait(tr.Ibcast(&ok, 1, Datatype::kByte, root, tag + 3));
+  mpisim::WaitUntil(tr.Ibcast(&ok, 1, Datatype::kByte, root, tag + 3),
+                    "VerifyTopK: verdict bcast");
   return ok != 0;
 }
 

@@ -45,12 +45,21 @@ std::vector<std::byte> RunHier(Transport& tr,
   const topo::VnodeMap vn = VnodesOfGroup(tr);
   auto sparse = [&](std::span<const SparseBlock> sends) {
     std::vector<SparseDelivery> deliveries;
-    WaitPoll(tr.IsparseAlltoallv(sends, Datatype::kByte, &deliveries, tag,
-                                 segment_bytes),
-             "jsort::exchange: hierarchical phase");
+    mpisim::WaitUntil(tr.IsparseAlltoallv(sends, Datatype::kByte, &deliveries,
+                                          tag, segment_bytes),
+                      "jsort::exchange: hierarchical phase");
     return deliveries;
   };
   return topo::HierExchangeBytes(vn, tr.Rank(), pieces, sparse, hs);
+}
+
+/// Copies a hierarchical delivery out as doubles. A rank that receives
+/// nothing gets an empty buffer, and memcpy with its null data pointer is
+/// undefined even for zero bytes, so the copy is skipped then.
+std::vector<double> DoublesOf(const std::vector<std::byte>& bytes) {
+  std::vector<double> out(bytes.size() / sizeof(double));
+  if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
+  return out;
 }
 
 /// Folds one hierarchical run's per-level traffic into the caller stats.
@@ -333,7 +342,7 @@ bool SegmentState::DrainCoalesced() {
 std::int64_t ExscanCount(Transport& tr, std::int64_t mine, int tag) {
   std::int64_t incl = 0;
   Poll s = tr.Iscan(&mine, &incl, 1, Datatype::kInt64, ReduceOp::kSum, tag);
-  WaitPoll(s, "jsort::exchange: ExscanCount");
+  mpisim::WaitUntil(s, "jsort::exchange: ExscanCount");
   return incl - mine;
 }
 
@@ -425,9 +434,7 @@ std::vector<double> ExchangeBuckets(Transport& tr,
       stats->elements_sent += total_out;
     }
     AddHierStats(stats, hs);
-    std::vector<double> out(bytes.size() / sizeof(double));
-    std::memcpy(out.data(), bytes.data(), bytes.size());
-    return out;
+    return DoublesOf(bytes);
   }
   // Bucket-major input needs no send-side copy: the per-peer blocks are
   // already contiguous, and the self bucket rides along as a zero-count
@@ -451,9 +458,10 @@ std::vector<double> ExchangeBuckets(Transport& tr,
   std::vector<int> ones(static_cast<std::size_t>(p), 1),
       iota(static_cast<std::size_t>(p));
   for (int i = 0; i < p; ++i) iota[static_cast<std::size_t>(i)] = i;
-  WaitPoll(tr.Ialltoallv(my_counts.data(), ones, iota, Datatype::kInt64,
-                         in_counts.data(), ones, iota, tag),
-           "jsort::exchange: bucket counts round");
+  mpisim::WaitUntil(
+      tr.Ialltoallv(my_counts.data(), ones, iota, Datatype::kInt64,
+                    in_counts.data(), ones, iota, tag),
+      "jsort::exchange: bucket counts round");
 
   // Payload round. The self block is a zero-count gap in the exchange
   // (matching sendcounts[me] == 0 above); its slot in `out` is filled
@@ -471,10 +479,10 @@ std::vector<double> ExchangeBuckets(Transport& tr,
   std::copy(elements.begin() + offsets[static_cast<std::size_t>(me)],
             elements.begin() + offsets[static_cast<std::size_t>(me) + 1],
             out.begin() + rdispls[static_cast<std::size_t>(me)]);
-  WaitPoll(tr.Ialltoallv(elements.data(), sendcounts, sdispls,
-                         Datatype::kFloat64, out.data(), recvcounts, rdispls,
-                         tag, segment_bytes),
-           "jsort::exchange: bucket payload round");
+  mpisim::WaitUntil(
+      tr.Ialltoallv(elements.data(), sendcounts, sdispls, Datatype::kFloat64,
+                    out.data(), recvcounts, rdispls, tag, segment_bytes),
+      "jsort::exchange: bucket payload round");
   if (stats != nullptr) {
     stats->messages_sent += p - 1;
     stats->elements_sent += total_out;  // self excluded
@@ -593,9 +601,7 @@ std::vector<double> ExchangeGroupwise(const std::shared_ptr<Transport>& tr,
     const std::vector<std::byte> bytes =
         RunHier(*tr, pieces, tag, segment_bytes, &hs);
     AddHierStats(stats, hs);
-    std::vector<double> result(bytes.size() / sizeof(double));
-    std::memcpy(result.data(), bytes.data(), bytes.size());
-    return result;
+    return DoublesOf(bytes);
   }
 
   if (resolved == Mode::kSparse) {
@@ -628,9 +634,9 @@ std::vector<double> ExchangeGroupwise(const std::shared_ptr<Transport>& tr,
           SparseBlock{d, m.data(), static_cast<int>(m.size())});
     }
     std::vector<SparseDelivery> deliveries;
-    WaitPoll(tr->IsparseAlltoallv(blocks, Datatype::kFloat64, &deliveries,
-                                  tag, segment_bytes),
-             "jsort::exchange: group-wise sparse exchange");
+    mpisim::WaitUntil(tr->IsparseAlltoallv(blocks, Datatype::kFloat64,
+                                           &deliveries, tag, segment_bytes),
+                      "jsort::exchange: group-wise sparse exchange");
     std::int64_t total = 0;
     for (const SparseDelivery& d : deliveries) {
       total += static_cast<std::int64_t>(d.bytes.size() / sizeof(double));

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <random>
-#include <thread>
 
 #include "sort/partition.hpp"
 
@@ -10,10 +9,6 @@ namespace jsort {
 namespace {
 
 constexpr int kTagPairExchange = 512;
-
-void WaitPoll(Poll& p) {
-  while (!p()) std::this_thread::yield();
-}
 
 /// Group-wide pivot: weighted-reservoir random element or
 /// median-of-samples, via reduce/gather + bcast (blocking here -- the
@@ -25,11 +20,12 @@ double PickPivot(Transport& tr, const std::vector<double>& data,
   const int tag = level;
   if (cfg.pivot == PivotPolicy::kRandomElement) {
     mpisim::PairDD cand = ReservoirCandidate(data, rng);
-    Poll r = tr.Ireduce(&cand, &cand, 1, Datatype::kPairDoubleDouble,
-                        ReduceOp::kMaxPairFirst, 0, tag);
-    WaitPoll(r);
-    Poll b = tr.Ibcast(&cand, 1, Datatype::kPairDoubleDouble, 0, tag);
-    WaitPoll(b);
+    mpisim::WaitUntil(tr.Ireduce(&cand, &cand, 1, Datatype::kPairDoubleDouble,
+                                 ReduceOp::kMaxPairFirst, 0, tag),
+                      "HypercubeQuicksort: pivot reduce");
+    mpisim::WaitUntil(
+        tr.Ibcast(&cand, 1, Datatype::kPairDoubleDouble, 0, tag),
+        "HypercubeQuicksort: pivot bcast");
     return cand.second;
   }
   const int p = tr.Size();
@@ -39,13 +35,13 @@ double PickPivot(Transport& tr, const std::vector<double>& data,
   DrawSamples(data, per_rank, mine.data(), rng);
   std::vector<double> all;
   if (tr.Rank() == 0) all.resize(static_cast<std::size_t>(per_rank) * p);
-  Poll g = tr.Igather(mine.data(), per_rank, Datatype::kFloat64, all.data(),
-                      0, tag);
-  WaitPoll(g);
+  mpisim::WaitUntil(tr.Igather(mine.data(), per_rank, Datatype::kFloat64,
+                               all.data(), 0, tag),
+                    "HypercubeQuicksort: sample gather");
   double pivot = 0.0;
   if (tr.Rank() == 0) pivot = MedianOf(all);
-  Poll b = tr.Ibcast(&pivot, 1, Datatype::kFloat64, 0, tag);
-  WaitPoll(b);
+  mpisim::WaitUntil(tr.Ibcast(&pivot, 1, Datatype::kFloat64, 0, tag),
+                    "HypercubeQuicksort: pivot bcast");
   return pivot;
 }
 
@@ -87,11 +83,9 @@ std::vector<double> HypercubeQuicksort(
     tr->Send(send_ptr, static_cast<int>(send_n), Datatype::kFloat64, partner,
              kTagPairExchange + level);
     Status st;
-    bool got = false;
-    while (!got) {
-      got = tr->IprobeAny(kTagPairExchange + level, &st);
-      if (!got) std::this_thread::yield();
-    }
+    mpisim::WaitUntil(
+        [&] { return tr->IprobeAny(kTagPairExchange + level, &st); },
+        "HypercubeQuicksort: partner probe");
     const int incoming = st.Count(Datatype::kFloat64);
     std::vector<double> next;
     next.reserve((low ? cut : local.size() - cut) +

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <limits>
 #include <random>
-#include <thread>
 
 #include "sort/assignment.hpp"
 #include "sort/exchange.hpp"
@@ -116,23 +115,28 @@ class Driver {
   }
 
  private:
+  /// Drives every active task to completion. One poll steps all tasks
+  /// until none makes progress, so the wait loop yields only when no task
+  /// moved.
   void DistributedPhase() {
-    const StallGuard guard("JQuick: distributed phase");
-    while (!active_.empty()) {
-      bool progressed = false;
-      for (std::size_t i = 0; i < active_.size();) {
-        progressed |= Step(*active_[i]);
-        if (active_[i]->phase == Phase::kDone) {
-          active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(i));
-        } else {
-          ++i;
-        }
-      }
-      if (!progressed) {
-        guard.Check();
-        std::this_thread::yield();
-      }
-    }
+    mpisim::WaitUntil(
+        [&] {
+          bool progressed = true;
+          while (progressed && !active_.empty()) {
+            progressed = false;
+            for (std::size_t i = 0; i < active_.size();) {
+              progressed |= Step(*active_[i]);
+              if (active_[i]->phase == Phase::kDone) {
+                active_.erase(active_.begin() +
+                              static_cast<std::ptrdiff_t>(i));
+              } else {
+                ++i;
+              }
+            }
+          }
+          return active_.empty();
+        },
+        "JQuick: distributed phase");
   }
 
   /// Advances one task through as many phases as possible. Returns true if
@@ -517,11 +521,12 @@ std::vector<double> JQuickSortPadded(const std::shared_ptr<Transport>& world,
   std::int64_t quota = 0;
   {
     // Reduce+bcast via the transport's nonblocking primitives.
-    WaitPoll(world->Ireduce(&mine, &quota, 1, Datatype::kInt64,
-                            ReduceOp::kMax, 0, /*tag=*/96),
-             "JQuickSortPadded: quota reduce");
-    WaitPoll(world->Ibcast(&quota, 1, Datatype::kInt64, 0, /*tag=*/97),
-             "JQuickSortPadded: quota bcast");
+    mpisim::WaitUntil(world->Ireduce(&mine, &quota, 1, Datatype::kInt64,
+                                     ReduceOp::kMax, 0, /*tag=*/96),
+                      "JQuickSortPadded: quota reduce");
+    mpisim::WaitUntil(
+        world->Ibcast(&quota, 1, Datatype::kInt64, 0, /*tag=*/97),
+        "JQuickSortPadded: quota bcast");
   }
   local.resize(static_cast<std::size_t>(quota),
                std::numeric_limits<double>::infinity());

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <random>
-#include <thread>
 
 #include "sort/exchange.hpp"
 #include "sort/partition.hpp"
@@ -13,10 +12,6 @@ namespace {
 
 constexpr int kTagBucket = 1024;
 constexpr int kTagSplitter = 1025;
-
-void WaitPoll(Poll& p) {
-  while (!p()) std::this_thread::yield();
-}
 
 }  // namespace
 
@@ -49,9 +44,9 @@ std::vector<double> SampleSort(const std::shared_ptr<Transport>& world,
   DrawSamples(local, per_rank, mine.data(), rng);
   std::vector<double> all;
   if (rank == 0) all.resize(static_cast<std::size_t>(per_rank) * p);
-  Poll g = tr.Igather(mine.data(), per_rank, Datatype::kFloat64, all.data(),
-                      0, kTagSplitter);
-  WaitPoll(g);
+  mpisim::WaitUntil(tr.Igather(mine.data(), per_rank, Datatype::kFloat64,
+                               all.data(), 0, kTagSplitter),
+                    "SampleSort: splitter gather");
   std::vector<double> splitters(static_cast<std::size_t>(p - 1));
   if (rank == 0) {
     std::sort(all.begin(), all.end());
@@ -60,9 +55,9 @@ std::vector<double> SampleSort(const std::shared_ptr<Transport>& world,
           all[static_cast<std::size_t>(i) * all.size() / p];
     }
   }
-  Poll b = tr.Ibcast(splitters.data(), p - 1, Datatype::kFloat64, 0,
-                     kTagSplitter);
-  WaitPoll(b);
+  mpisim::WaitUntil(tr.Ibcast(splitters.data(), p - 1, Datatype::kFloat64,
+                              0, kTagSplitter),
+                    "SampleSort: splitter bcast");
 
   // 2) Local partition into p buckets with the branchless splitter-tree
   //    kernel (bucket-major flat layout, ready for the flat exchange).

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -240,29 +239,6 @@ class IcommTransport final : public MpiTransportBase {
 };
 
 }  // namespace
-
-StallGuard::StallGuard(const char* what)
-    : what_(what),
-      deadline_(std::chrono::steady_clock::now() +
-                mpisim::Ctx().runtime->options().deadlock_timeout) {}
-
-void StallGuard::Check() const {
-  mpisim::Runtime& rt = *mpisim::Ctx().runtime;
-  if (rt.Aborted()) throw mpisim::AbortedError(rt.FirstFailedRank());
-  if (std::chrono::steady_clock::now() > deadline_) {
-    throw mpisim::DeadlockError(mpisim::BuildDeadlockReport(
-        rt, std::string(what_) + " timed out (suspected deadlock)"));
-  }
-}
-
-void WaitPoll(const Poll& poll, const char* what) {
-  if (poll()) return;
-  const StallGuard guard(what);
-  while (!poll()) {
-    guard.Check();
-    std::this_thread::yield();
-  }
-}
 
 std::shared_ptr<Transport> MakeRbcTransport(rbc::Comm comm) {
   return std::make_shared<RbcTransport>(std::move(comm));

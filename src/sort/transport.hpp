@@ -19,7 +19,6 @@
 // collective-correctness ledger (mpisim/sanitizer.hpp, rbc/sanitize.hpp).
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -39,26 +38,6 @@ using Poll = std::function<bool()>;
 using Datatype = mpisim::Datatype;
 using ReduceOp = mpisim::ReduceOp;
 using Status = mpisim::Status;
-
-/// Abort check and deadline of a sorter wait loop. Check() throws
-/// mpisim::AbortedError (naming the first failed rank) once the runtime
-/// aborted, and mpisim::DeadlockError with the wait-graph report once the
-/// runtime's deadlock_timeout has passed since construction -- so a
-/// failed peer never leaves a sorter spinning forever.
-class StallGuard {
- public:
-  explicit StallGuard(const char* what);
-  void Check() const;
-
- private:
-  const char* what_;
-  std::chrono::steady_clock::time_point deadline_;
-};
-
-/// Drives a nonblocking operation to completion: polls, yields between
-/// polls (ranks are threads, typically more than cores), and checks a
-/// StallGuard named `what` while the poll is not done.
-void WaitPoll(const Poll& poll, const char* what);
 
 /// Sparse-exchange vocabulary, shared with the RBC collective: one
 /// outgoing block per destination actually sent to, one delivery per

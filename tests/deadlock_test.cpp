@@ -113,6 +113,57 @@ TEST(Deadlock, SpinWaitFallsBackToShortTimeoutForensics) {
       << report;
 }
 
+TEST(Deadlock, RbcWaitTimeoutDumpsWaitGraph) {
+  // rbc::Wait is a spin-wait like mpisim::Wait: it must register the wait
+  // and time out with the same per-rank wait graph, not a bare one-liner.
+  const std::string report = ExpectDeadlockReport(
+      Opts(2, std::chrono::milliseconds(300)), [](mpisim::Comm& world) {
+        rbc::Comm rw;
+        rbc::Create_RBC_Comm(world, &rw);
+        if (rw.Rank() == 0) {
+          double x = 0.0;
+          rbc::Request req;
+          rbc::Irecv(&x, 1, Datatype::kFloat64, 1, 6, rw, &req);
+          rbc::Wait(&req);
+        }
+      });
+  EXPECT_NE(report.find("timed out (suspected deadlock)"), std::string::npos)
+      << report;
+  EXPECT_NE(report.find("per-rank wait graph"), std::string::npos) << report;
+  EXPECT_NE(report.find("blocked in rbc: Wait"), std::string::npos)
+      << report;
+}
+
+TEST(Deadlock, RbcWaitAbortNamesOriginatingRank) {
+  // Rank 1 fails before sending; rank 0's rbc::Wait on the matching Irecv
+  // must leave with AbortedError naming rank 1.
+  testutil::PerRank<int> origins(2);
+  mpisim::Runtime rt(Opts(2, std::chrono::milliseconds(30'000)));
+  try {
+    rt.Run([&](mpisim::Comm& world) {
+      rbc::Comm rw;
+      rbc::Create_RBC_Comm(world, &rw);
+      if (rw.Rank() == 1) throw mpisim::Error("sender exploding");
+      double x = 0.0;
+      rbc::Request req;
+      rbc::Irecv(&x, 1, Datatype::kFloat64, 1, 6, rw, &req);
+      try {
+        rbc::Wait(&req);
+      } catch (const mpisim::AbortedError& e) {
+        origins.Set(world.Rank(), e.origin_rank());
+        return;
+      }
+      ADD_FAILURE() << "rank 0 was not aborted";
+    });
+    ADD_FAILURE() << "expected the injected failure to re-throw";
+  } catch (const mpisim::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("sender exploding"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(origins[0], 1);
+}
+
 TEST(Deadlock, TimeoutEnvOverride) {
   const char* old = std::getenv("MPISIM_DEADLOCK_TIMEOUT_MS");
   const std::string saved = old != nullptr ? old : "";

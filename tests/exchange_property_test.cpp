@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <cstring>
 #include <random>
-#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -48,10 +47,6 @@ std::shared_ptr<Transport> Make(Backend b, mpisim::Comm& world) {
       return jsort::MakeIcommTransport(world);
   }
   return nullptr;
-}
-
-void WaitPoll(const jsort::Poll& p) {
-  while (!p()) std::this_thread::yield();
 }
 
 /// The swept segment sizes (bytes): one double, a prime that lands
@@ -131,7 +126,7 @@ void RandomizedSegmentExchange(const std::shared_ptr<Transport>& tr,
     }
     jsort::Poll poll = jsort::exchange::StartSegmentExchange(
         tr, layout, std::move(segs), tag, mode, stats, seg_bytes);
-    WaitPoll(poll);
+    mpisim::WaitUntil(poll, "exchange property test");
     // Delivery order across sources is unspecified for the drain paths;
     // compare as sorted multisets -- the slot values are all distinct, so
     // sorted equality is byte-exact equality of the delivered sets.
@@ -354,8 +349,9 @@ void RandomizedSparseTransport(const std::shared_ptr<Transport>& tr,
   }
   auto run = [&](std::int64_t seg) {
     std::vector<jsort::SparseDelivery> deliveries;
-    WaitPoll(tr->IsparseAlltoallv(blocks, jsort::Datatype::kFloat64,
-                                  &deliveries, 45, seg));
+    mpisim::WaitUntil(tr->IsparseAlltoallv(blocks, jsort::Datatype::kFloat64,
+                                           &deliveries, 45, seg),
+                      "sparse exchange test");
     return deliveries;
   };
   const auto reference = run(0);
@@ -401,8 +397,10 @@ ExchangeStats RotationOnce(const std::shared_ptr<Transport>& tr,
   std::vector<Segment> segs(1);
   segs[0] = Segment{data.data(), cap, begin, &sink, cap};
   ExchangeStats stats;
-  WaitPoll(jsort::exchange::StartSegmentExchange(
-      tr, layout, std::move(segs), tag, mode, &stats, seg_bytes));
+  mpisim::WaitUntil(
+      jsort::exchange::StartSegmentExchange(tr, layout, std::move(segs), tag,
+                                            mode, &stats, seg_bytes),
+      "segment exchange test");
   std::vector<double> expect(static_cast<std::size_t>(cap));
   const std::int64_t my_begin = layout.PrefixBefore(me);
   for (std::int64_t i = 0; i < cap; ++i) {
@@ -566,11 +564,13 @@ std::vector<std::vector<double>> JanusRotation(
     polls.push_back(jsort::exchange::StartSegmentExchange(
         tr, layout, std::move(segs), tag, Mode::kCoalesced, stats, seg));
   }
-  for (bool done = false; !done;) {
-    done = true;
-    for (const jsort::Poll& poll : polls) done = poll() && done;
-    if (!done) std::this_thread::yield();
-  }
+  mpisim::WaitUntil(
+      [&] {
+        bool done = true;
+        for (const jsort::Poll& poll : polls) done = poll() && done;
+        return done;
+      },
+      "janus exchange test");
   return sinks;
 }
 

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <numeric>
 #include <random>
-#include <thread>
 #include <vector>
 
 #include "sort/exchange.hpp"
@@ -39,10 +38,6 @@ std::shared_ptr<Transport> Make(Backend b, mpisim::Comm& world) {
       return jsort::MakeIcommTransport(world);
   }
   return nullptr;
-}
-
-void WaitPoll(const jsort::Poll& p) {
-  while (!p()) std::this_thread::yield();
 }
 
 class ExchangeSweep : public ::testing::TestWithParam<Backend> {};
@@ -140,7 +135,7 @@ void RotationExchange(const std::shared_ptr<Transport>& tr, Mode mode) {
   jsort::Poll poll = jsort::exchange::StartSegmentExchange(
       tr, layout, std::move(segs), 11, mode, &stats);
   data.clear();  // the layer copied the payload out
-  WaitPoll(poll);
+  mpisim::WaitUntil(poll, "exchange test");
   // I receive exactly my own capacity interval, in slot order from one
   // source.
   std::vector<double> expect(static_cast<std::size_t>(kCap));
@@ -224,7 +219,7 @@ void TwoRegionExchange(const std::shared_ptr<Transport>& tr, Mode mode) {
       tr, layout, std::move(segs), 13, mode);
   small.clear();
   large.clear();
-  WaitPoll(poll);
+  mpisim::WaitUntil(poll, "exchange test");
 
   ASSERT_EQ(static_cast<std::int64_t>(recv_small.size()), expect_small);
   ASSERT_EQ(static_cast<std::int64_t>(recv_large.size()), expect_large);
@@ -331,7 +326,7 @@ void RandomizedEquivalence(const std::shared_ptr<Transport>& tr,
     }
     jsort::Poll poll = jsort::exchange::StartSegmentExchange(
         tr, layout, std::move(segs), tag, mode);
-    WaitPoll(poll);
+    mpisim::WaitUntil(poll, "exchange test");
     for (auto& s : sinks) std::sort(s.begin(), s.end());
     return sinks;
   };
@@ -434,7 +429,7 @@ TEST_P(ExchangeSweep, SegmentExchangeAllElementsOnOneRank) {
                       kCap};
     jsort::Poll poll = jsort::exchange::StartSegmentExchange(
         tr, layout, std::move(segs), 17, Mode::kCoalesced);
-    WaitPoll(poll);
+    mpisim::WaitUntil(poll, "exchange test");
     std::vector<double> expect(static_cast<std::size_t>(kCap));
     std::iota(expect.begin(), expect.end(),
               static_cast<double>(layout.PrefixBefore(me)));

@@ -164,8 +164,7 @@ TEST(Nbc, ProgressOnlyThroughTest) {
     if (world.Rank() == 1) {
       std::int64_t v = -1;
       Request r = mpisim::Ibcast(&v, 1, Datatype::kInt64, 0, world);
-      while (!mpisim::Test(r)) {
-      }
+      mpisim::WaitUntil([&] { return mpisim::Test(r); }, "Test loop");
       EXPECT_EQ(v, 5);
     } else {
       std::int64_t v = 5;

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <cstring>
 #include <random>
-#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -49,10 +48,6 @@ std::shared_ptr<Transport> Make(Backend b, mpisim::Comm& world) {
       return jsort::MakeIcommTransport(world);
   }
   return nullptr;
-}
-
-void WaitPoll(const jsort::Poll& p) {
-  while (!p()) std::this_thread::yield();
 }
 
 /// The machine shapes under test, all covering 8 ranks: uniform nodes,
@@ -281,7 +276,7 @@ void RandomizedSegmentExchangeHier(const std::shared_ptr<Transport>& tr,
     }
     jsort::Poll poll = jsort::exchange::StartSegmentExchange(
         tr, layout, std::move(segs), tag, mode, nullptr, seg_bytes);
-    WaitPoll(poll);
+    mpisim::WaitUntil(poll, "hierarchical exchange test");
     for (auto& s : sinks) std::sort(s.begin(), s.end());
     return sinks;
   };
@@ -323,6 +318,45 @@ TEST_P(HierExchangeSweep, SegmentExchangeByteExactAcrossShapes) {
                });
     }
   }
+}
+
+/// A rank that receives nothing gets an empty hierarchical delivery; its
+/// copy-out must skip the null-buffer memcpy (undefined behaviour that
+/// UBSan reports) and still match the flat path, for both entry points.
+TEST_P(HierExchangeSweep, EmptyReceiverMatchesFlat) {
+  const auto [b, seg] = GetParam();
+  RunRanks(TwoLevelOpts(8, topo::Topology::Uniform(8, 4)),
+           [&, b, seg](mpisim::Comm& world, mpisim::Runtime&) {
+             const std::shared_ptr<Transport> tr = Make(b, world);
+             const int p = tr->Size();
+             const int me = tr->Rank();
+             // Everyone sends to (me % (p-1)) + 1: rank 0 receives nothing.
+             const int dest = me % (p - 1) + 1;
+             const std::vector<double> payload(5, me + 0.5);
+             std::vector<std::vector<double>> buckets(
+                 static_cast<std::size_t>(p));
+             buckets[static_cast<std::size_t>(dest)] = payload;
+             const auto dense = jsort::exchange::ExchangeBuckets(
+                 *tr, buckets, 47, nullptr, seg, Mode::kAlltoallv);
+             const auto hier = jsort::exchange::ExchangeBuckets(
+                 *tr, buckets, 47, nullptr, seg, Mode::kHierarchical);
+             EXPECT_EQ(dense, hier);
+
+             const Outgoing out{dest, payload.data(),
+                                static_cast<std::int64_t>(payload.size())};
+             const auto flat = jsort::exchange::ExchangeGroupwise(
+                 tr, {&out, 1}, 48, Mode::kSparse, nullptr, seg);
+             const auto grouped = jsort::exchange::ExchangeGroupwise(
+                 tr, {&out, 1}, 48, Mode::kHierarchical, nullptr, seg);
+             EXPECT_EQ(flat, grouped);
+             if (me == 0) {
+               EXPECT_TRUE(hier.empty());
+               EXPECT_TRUE(grouped.empty());
+             } else {
+               EXPECT_FALSE(hier.empty());
+               EXPECT_FALSE(grouped.empty());
+             }
+           });
 }
 
 /// kAuto routing is a function of two globally shared facts -- the

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <vector>
-#include <thread>
 
 #include "sort/transport.hpp"
 #include "testutil.hpp"
@@ -44,24 +43,21 @@ TEST_P(TransportSweep, CollectivesWork) {
 
     std::int64_t v = tr->Rank() == 0 ? 42 : -1;
     auto p1 = tr->Ibcast(&v, 1, jsort::Datatype::kInt64, 0, 1);
-    while (!p1()) {
-    }
+    mpisim::WaitUntil(p1, "transport test");
     EXPECT_EQ(v, 42);
 
     const std::int64_t mine = tr->Rank() + 1;
     std::int64_t scan = 0;
     auto p2 = tr->Iscan(&mine, &scan, 1, jsort::Datatype::kInt64,
                         jsort::ReduceOp::kSum, 2);
-    while (!p2()) {
-    }
+    mpisim::WaitUntil(p2, "transport test");
     const std::int64_t k = tr->Rank() + 1;
     EXPECT_EQ(scan, k * (k + 1) / 2);
 
     std::int64_t sum = 0;
     auto p3 = tr->Ireduce(&mine, &sum, 1, jsort::Datatype::kInt64,
                           jsort::ReduceOp::kSum, 0, 3);
-    while (!p3()) {
-    }
+    mpisim::WaitUntil(p3, "transport test");
     if (tr->Rank() == 0) {
       EXPECT_EQ(sum, 21);
     }
@@ -69,8 +65,7 @@ TEST_P(TransportSweep, CollectivesWork) {
     std::vector<std::int64_t> all(6, -1);
     auto p4 = tr->Igather(&mine, 1, jsort::Datatype::kInt64, all.data(), 0,
                           4);
-    while (!p4()) {
-    }
+    mpisim::WaitUntil(p4, "transport test");
     if (tr->Rank() == 0) {
       for (int r = 0; r < 6; ++r) {
         EXPECT_EQ(all[static_cast<std::size_t>(r)], r + 1);
@@ -90,8 +85,7 @@ TEST_P(TransportSweep, SplitIsolatesSubgroups) {
     std::int64_t mine = 1, sum = 0;
     auto poll = sub->Ireduce(&mine, &sum, 1, jsort::Datatype::kInt64,
                              jsort::ReduceOp::kSum, 0, 5);
-    while (!poll()) {
-    }
+    mpisim::WaitUntil(poll, "transport test");
     if (sub->Rank() == 0) {
       EXPECT_EQ(sum, low ? 3 : 4);
     }
@@ -123,8 +117,8 @@ TEST_P(TransportSweep, PointToPointAndProbe) {
       tr->Send(v, 2, jsort::Datatype::kFloat64, 0, kTag);
     } else if (tr->Rank() == 0) {
       jsort::Status st;
-      while (!tr->IprobeAny(kTag, &st)) {
-      }
+      mpisim::WaitUntil([&] { return tr->IprobeAny(kTag, &st); },
+                        "transport test: probe");
       EXPECT_EQ(st.source, 3);
       EXPECT_EQ(st.Count(jsort::Datatype::kFloat64), 2);
       double got[2] = {0, 0};
@@ -158,15 +152,13 @@ TEST_P(TransportSweep, OverlappingSplitsAtOneRank) {
     if (r == 2) {
       // Drain both, each strictly from its own subgroup.
       jsort::Status st;
-      while (!left->IprobeAny(kTag, &st)) {
-        std::this_thread::yield();
-      }
+      mpisim::WaitUntil([&] { return left->IprobeAny(kTag, &st); },
+                        "transport test: left probe");
       double got = 0;
       left->Recv(&got, 1, jsort::Datatype::kFloat64, st.source, kTag);
       EXPECT_DOUBLE_EQ(got, 10);
-      while (!right->IprobeAny(kTag, &st)) {
-        std::this_thread::yield();
-      }
+      mpisim::WaitUntil([&] { return right->IprobeAny(kTag, &st); },
+                        "transport test: right probe");
       right->Recv(&got, 1, jsort::Datatype::kFloat64, st.source, kTag);
       EXPECT_DOUBLE_EQ(got, 40);
     }
