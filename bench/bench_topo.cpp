@@ -1,6 +1,7 @@
 // Node-aware hierarchical transport (src/topo) on a two-level machine:
-// does routing the exchange through node leaders pay off once inter-node
-// messages cost 10-50x an intra-node one?
+// does coalescing the exchange per node -- one network bundle per ordered
+// node pair, spread over all members of each node -- pay off once
+// inter-node messages cost 10-50x an intra-node one?
 //
 // Every section installs the same topology (8-rank nodes at p=64) and a
 // two-level cost model derived from the run's base model (--cost-model
@@ -12,8 +13,10 @@
 //    direct sparse sends) vs the three-phase hierarchical engine, plus
 //    kAuto to show auto-routing picks the hierarchical path on a
 //    two-level model. The manifest gates that the hierarchical path
-//    strictly reduces inter-node messages AND bytes and wins vtime at
-//    p >= 64.
+//    strictly reduces inter-node messages AND bytes, wins vtime at
+//    p >= 64, and spreads the bundles: no rank sends more than
+//    ceil((nodes - 1) / node_size) of them in one exchange
+//    (max_inter_bundles, also reported for the multilevel rows).
 //  * multilevel -- MultilevelConfig.k = 0 (topology-derived: one group
 //    per node, recursion goes node-local after one exchange) vs the flat
 //    default k = 4 on flat delivery.
@@ -25,6 +28,7 @@
 // Traffic is counted at the wire (mpisim per-rank Stats deltas summed
 // over ranks), so headers, counts rounds and sparse-termination control
 // messages are all charged to the path that sends them.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -94,8 +98,19 @@ Traffic MeasureTraffic(mpisim::Comm& world,
   return Traffic{global[0], global[1], global[2], global[3]};
 }
 
-std::vector<Field> TrafficFields(const Traffic& t,
-                                 const mpisim::CostModel& cost, int nodes) {
+struct SortPoint {
+  Measurement m;
+  Traffic traffic;
+  /// Max over ranks and over the sort's exchanges of the inter-node
+  /// bundles one rank sent in one hierarchical exchange (0 when the
+  /// engine never ran): the multi-lane spread, ceil((nodes - 1) /
+  /// node_size) at best.
+  long long max_inter_bundles = 0;
+};
+
+std::vector<Field> SortFields(const SortPoint& pt,
+                              const mpisim::CostModel& cost, int nodes) {
+  const Traffic& t = pt.traffic;
   const double intra_a = cost.AlphaFor(false);
   return {
       Field{"messages", static_cast<long long>(t.messages)},
@@ -107,19 +122,16 @@ std::vector<Field> TrafficFields(const Traffic& t,
       Field{"alpha_ratio",
             intra_a > 0.0 ? cost.AlphaFor(true) / intra_a : 1.0},
       Field{"nodes", static_cast<long long>(nodes)},
+      Field{"max_inter_bundles", pt.max_inter_bundles},
   };
 }
 
-struct SortPoint {
-  Measurement m;
-  Traffic traffic;
-};
-
 /// Measures one sorter configuration on a fresh runtime: vtime median
-/// over `reps`, then one traffic-instrumented run.
-SortPoint MeasureSort(int ranks, const topo::Topology& topology,
-                      const mpisim::CostModel& cost, int reps,
-                      const std::function<void(mpisim::Comm&)>& sort_once) {
+/// over `reps`, then one traffic-instrumented run. `sort_once` returns
+/// the most inter-node bundles this rank sent in one of its exchanges.
+SortPoint MeasureSort(
+    int ranks, const topo::Topology& topology, const mpisim::CostModel& cost,
+    int reps, const std::function<long long(mpisim::Comm&)>& sort_once) {
   mpisim::Runtime::Options opts;
   opts.num_ranks = ranks;
   opts.cost = cost;
@@ -129,10 +141,16 @@ SortPoint MeasureSort(int ranks, const topo::Topology& topology,
   rt.Run([&](mpisim::Comm& world) {
     const Measurement m =
         benchutil::MeasureOnRanks(world, reps, [&] { sort_once(world); });
-    const Traffic t = MeasureTraffic(world, [&] { sort_once(world); });
+    long long bundles = 0;
+    const Traffic t =
+        MeasureTraffic(world, [&] { bundles = sort_once(world); });
+    long long max_bundles = 0;
+    mpisim::Allreduce(&bundles, &max_bundles, 1, mpisim::Datatype::kInt64,
+                      mpisim::ReduceOp::kMax, world);
     if (world.Rank() == 0) {
       point.m = m;
       point.traffic = t;
+      point.max_inter_bundles = max_bundles;
     }
   });
   return point;
@@ -167,10 +185,12 @@ void RunSampleSort(benchutil::BenchContext& ctx) {
           auto tr = jsort::MakeMpiTransport(world);
           jsort::SampleSortConfig cfg;
           cfg.exchange_mode = path.mode;
-          jsort::SampleSort(tr, std::move(input), cfg);
+          jsort::SampleSortStats stats;
+          jsort::SampleSort(tr, std::move(input), cfg, &stats);
+          return static_cast<long long>(stats.inter_messages);
         });
     ctx.Row("topo_sample_sort", path.name, ranks, quota, pt.m,
-            TrafficFields(pt.traffic, path.cost, topology.NodeCount()));
+            SortFields(pt, path.cost, topology.NodeCount()));
   }
 }
 
@@ -207,10 +227,16 @@ void RunMultilevel(benchutil::BenchContext& ctx) {
           jsort::MultilevelConfig cfg;
           cfg.k = variant.k;
           cfg.exchange_mode = variant.mode;
-          jsort::MultilevelSampleSort(tr, std::move(input), cfg);
+          jsort::MultilevelStats stats;
+          jsort::MultilevelSampleSort(tr, std::move(input), cfg, &stats);
+          long long bundles = 0;
+          for (const auto& level : stats.level_stats) {
+            bundles = std::max<long long>(bundles, level.inter_messages);
+          }
+          return bundles;
         });
     ctx.Row("topo_multilevel", variant.name, ranks, quota, pt.m,
-            TrafficFields(pt.traffic, two_level, topology.NodeCount()));
+            SortFields(pt, two_level, topology.NodeCount()));
   }
 }
 

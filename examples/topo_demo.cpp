@@ -6,10 +6,11 @@
 // startup is 25x the shared-memory one.
 //
 // The hierarchical path coalesces per-destination traffic on each node,
-// crosses the network once leader-to-leader, and scatters locally -- so
-// the number of messages paying the expensive inter-node alpha collapses
-// from O(p^2) (every cross pair) to O(nodes^2), while delivered bytes
-// stay identical.
+// crosses the network once per ordered node pair -- the bundles of a
+// node dealt over its members -- and scatters locally. So the number of messages paying the expensive inter-node
+// alpha collapses from O(p^2) (every cross pair) to O(nodes^2), no rank
+// sends more than ceil((nodes - 1) / node_size) of them, and delivered
+// bytes stay identical.
 //
 // Run:  ./examples/topo_demo
 #include <cstdint>

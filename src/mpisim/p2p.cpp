@@ -1,6 +1,7 @@
 #include "mpisim/p2p.hpp"
 
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -257,13 +258,24 @@ void WaitUntil(const std::function<bool()>& poll, std::string_view what) {
   if (poll()) return;  // fast path: completed already, no registration
   RankContext& rc = Ctx();
   ScopedWait guard(MakeWait(std::string(what)));
-  const auto deadline = std::chrono::steady_clock::now() +
-                        rc.runtime->options().deadlock_timeout;
+  // The deadline restarts whenever this rank sent or received a message
+  // since the last poll: a long wait that keeps moving (a whole sorter
+  // phase polled as one wait) is progress, not a deadlock.
+  const auto timeout = rc.runtime->options().deadlock_timeout;
+  const auto traffic = [&rc] {
+    return rc.stats.messages_sent + rc.stats.messages_received;
+  };
+  std::uint64_t seen = traffic();
+  auto deadline = std::chrono::steady_clock::now() + timeout;
   while (!poll()) {
     if (rc.runtime->Aborted()) {
       throw AbortedError(rc.runtime->FirstFailedRank());
     }
-    if (std::chrono::steady_clock::now() > deadline) {
+    const auto now = std::chrono::steady_clock::now();
+    if (const std::uint64_t t = traffic(); t != seen) {
+      seen = t;
+      deadline = now + timeout;
+    } else if (now > deadline) {
       throw DeadlockError(BuildDeadlockReport(
           *rc.runtime,
           std::string(what) + " timed out (suspected deadlock)"));

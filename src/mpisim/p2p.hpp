@@ -62,7 +62,8 @@ bool Test(Request& req, Status* st = nullptr);
 /// a poll may complete without any new message, waitgraph.hpp), throws
 /// AbortedError naming the first failed rank once the runtime aborted, and
 /// DeadlockError with the per-rank wait graph once the runtime's
-/// deadlock_timeout has passed.
+/// deadlock_timeout has passed without this rank sending or receiving a
+/// message (any traffic of the rank restarts the deadline).
 void WaitUntil(const std::function<bool()>& poll, std::string_view what);
 
 /// Blocks (spinning with yields) until the request completes.

@@ -98,8 +98,10 @@ struct ExchangeStats {
   std::int64_t segments = 0;
   /// Per-level traffic of the hierarchical path (Mode::kHierarchical /
   /// kAuto on a two-level cost model): payload messages and bytes of the
-  /// intra-node phases (coalescing + local scatter) and of the
-  /// leader-to-leader inter-node phase. Zero on every flat path.
+  /// intra-node phases (coalescing to the agents + local scatter) and of
+  /// the agent-to-agent inter-node phase (one bundle per ordered node
+  /// pair, at most ceil((nodes - 1) / node_size) per rank). Zero on every
+  /// flat path.
   std::int64_t intra_messages = 0;
   std::int64_t intra_bytes = 0;
   std::int64_t inter_messages = 0;
@@ -115,8 +117,10 @@ enum class Mode {
   kSparse,     // skewed: one message per destination over the transport's
                // sparse collective (barrier-terminated, no expectations)
   kHierarchical,  // node-aware: per-destination traffic coalesces on each
-                  // node, crosses the network once leader-to-leader, and
-                  // is scattered locally (topo/hier_exchange.hpp); byte-
+                  // node at one agent per destination node, crosses the
+                  // network once agent-to-agent (the bundles spread over
+                  // all members of a node), and is scattered locally
+                  // (topo/hier_exchange.hpp); byte-
                   // identical results to the flat paths. Collective and
                   // blocking at start. Degrades gracefully on a flat or
                   // single-node topology (the phases collapse to the

@@ -77,6 +77,7 @@ std::vector<double> SampleSort(const std::shared_ptr<Transport>& world,
   if (stats != nullptr) {
     stats->messages_sent += es.messages_sent;
     stats->segments_sent += es.segments;
+    stats->inter_messages += es.inter_messages;
   }
 
   // 4) Local sort of the received bucket.

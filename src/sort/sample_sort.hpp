@@ -38,6 +38,9 @@ struct SampleSortStats {
   /// Wire-level payload messages after segmentation (== messages_sent
   /// when segment_bytes is 0).
   std::int64_t segments_sent = 0;
+  /// Inter-node bundles this rank sent in the hierarchical bucket
+  /// exchange (0 on the flat paths).
+  std::int64_t inter_messages = 0;
 };
 
 /// Sorts the global data over the transport's group. Output slices are

@@ -1,10 +1,13 @@
 // Node-aware hierarchical collectives over RBC communicators.
 //
-// Built entirely from existing pieces (Section V-D's extension recipe):
-// one elected leader per node -- the smallest group rank of each vnode
-// run (hier_exchange.hpp) -- a leader-only inter-node phase over a
-// binomial tree of the leader list, and intra-node redistribution via the
-// flat rbc collectives on Split_RBC_Comm vnode sub-ranges (O(1), local).
+// Built entirely from existing pieces (Section V-D's extension recipe).
+// Bcast, allreduce and gatherv use one elected leader per node -- the
+// smallest group rank of each vnode run (hier_exchange.hpp) -- a
+// leader-only inter-node phase over a binomial tree of the leader list,
+// and intra-node redistribution via the flat rbc collectives on
+// Split_RBC_Comm vnode sub-ranges (O(1), local). Alltoallv runs the
+// multi-lane exchange engine of hier_exchange.hpp instead, whose network
+// bundles are spread over all members of each node.
 // On a flat topology (or a single-node communicator) every operation
 // degrades to its flat counterpart plus the leader election's O(size)
 // local scan.
@@ -77,8 +80,9 @@ int HierGatherv(const void* sendbuf, int count, rbc::Datatype dt,
 
 /// Hierarchical personalized all-to-all (dense counts interface, same
 /// contract as rbc::Alltoallv): per-destination payloads are coalesced on
-/// each node, cross the network once leader-to-leader (merged per
-/// destination), and are scattered locally -- the three-phase engine of
+/// each node, cross the network once per ordered node pair between the
+/// two nodes' agents (merged per destination; a node's bundles spread
+/// over all of its members), and are scattered locally -- the engine of
 /// hier_exchange.hpp over rbc::SparseAlltoallv. Delivers byte-identical
 /// results to rbc::Alltoallv. segment_bytes > 0 chunks each sparse-phase
 /// payload (the large-message regime).

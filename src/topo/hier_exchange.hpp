@@ -1,37 +1,48 @@
 // Topology-shaped exchange: the generic three-phase byte engine behind
-// the hierarchical Alltoallv (ISSUE: "intra-node coalescing of
-// per-destination-node traffic, then local scatter").
+// the hierarchical Alltoallv (intra-node coalescing of per-destination-
+// node traffic, one network hop per node pair, then local scatter).
 //
 // A flat sparse exchange ships one message per non-empty (source,
 // destination) pair; with p ranks spread over m nodes, almost all of
 // them cross the network. The hierarchical engine routes the same bytes
 // in three phases so that every inter-node byte travels exactly once,
-// between two node leaders:
+// in one bundle per ordered node pair. The bundles are spread over all
+// members of a node (multi-lane, after Traeff & Hunold, "Decomposing MPI
+// Collectives for Exploiting Multi-lane Communication", CLUSTER 2020):
+// for every remote vnode u, one member of vnode v -- its *agent*
+// VnodeMap::AgentOf(v, u) -- carries all of v's traffic to u and
+// receives all of u's traffic for v. The rule deals the remote vnodes
+// round-robin over v's members, so no rank sends or receives more than
+// ceil((m - 1) / size[v]) inter-node bundles per exchange, and every rank
+// derives the same assignment from the VnodeMap alone.
 //
 //   A (intra): every rank sends each same-node destination its direct
-//     payload, and ships all of its node-crossing pieces to the node
-//     leader, bundled into the same message when the leader is also a
-//     direct destination. Wire format to rank q:
+//     payload, and ships its node-crossing pieces for vnode u to the
+//     agent of (v, u), bundled into the same message when that agent is
+//     also a direct destination. Wire format to rank q:
 //       [int64 direct_bytes][direct payload]
-//       (iff q is the leader) [int32 nsections]
+//       (iff q is an agent for some of the pieces) [int32 nsections]
 //                             [(int32 dest, int32 bytes) x nsections]
 //                             [section payloads, dest-ascending]
-//   B (inter, leaders only): each leader merges the buffered pieces PER
+//   B (inter, agents only): each agent merges the buffered pieces PER
 //     DESTINATION -- all same-node sources' payloads for one destination
 //     concatenate (source-ascending) into ONE section -- and sends one
-//     bundle per destination node to that node's leader:
+//     bundle per destination vnode u to the agent of (u, v):
 //       [int32 nsections][(int32 dest, int32 bytes) x nsections]
 //       [section payloads, dest-ascending]
 //     Source ranks are never transmitted: node blocks are contiguous
-//     rank runs, sparse deliveries arrive source-ordered, and each
-//     merged section is internally source-ascending, so the receiver can
-//     reconstruct the global source order from structure alone. The
-//     per-destination merge is what makes the inter-node byte count
-//     strictly smaller than the flat exchange's (headers shrink from one
-//     per cross pair to one per (leader, destination) pair).
-//   C (intra): each leader scatters to every local destination the
-//     remote bytes that arrived for it:
-//       [int64 bytes_from_lower_nodes][payload, source-node-ascending]
+//     rank runs and each merged section is internally source-ascending,
+//     so the receiver reconstructs the global source order from the
+//     source vnode alone. The per-destination merge is what makes the
+//     inter-node byte count strictly smaller than the flat exchange's
+//     (headers shrink from one per cross pair to one per (node,
+//     destination) pair).
+//   C (intra): each agent scatters to every local destination the
+//     remote bytes that arrived for it, one section per source vnode:
+//       [int32 nsections][(int32 source_vnode, int32 bytes) x nsections]
+//       [section payloads, source-vnode-ascending]
+//     A destination hears from up to min(m - 1, size[v]) agents and
+//     orders the sections of all of them by source vnode.
 //
 // Every rank finishes with exactly the bytes a flat exchange would have
 // delivered, concatenated in source-rank-ascending order:
@@ -47,6 +58,7 @@
 // the same tag.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -71,11 +83,22 @@ struct VnodeMap {
   std::vector<int> size;      // vnode -> member count
 
   int Count() const { return static_cast<int>(first.size()); }
+  /// The elected leader of vnode `v` (its smallest group rank): the one
+  /// rank per node of the leader-based hierarchical collectives.
   int LeaderOf(int v) const { return first[v]; }
   bool IsLeader(int r) const { return first[vnode_of[r]] == r; }
 
   /// Group ranks of all vnode leaders, ascending.
   std::vector<int> Leaders() const { return first; }
+
+  /// The exchange engine's agent of vnode `v` for remote vnode `u`
+  /// (u != v): the member that carries all of v's traffic to u and
+  /// receives all of u's traffic for v. The other vnodes, in vnode order,
+  /// are dealt round-robin over v's members, so each member serves at
+  /// most ceil((Count() - 1) / size[v]) of them.
+  int AgentOf(int v, int u) const {
+    return first[v] + (u < v ? u : u - 1) % size[v];
+  }
 };
 
 /// Builds the vnode map from per-group-rank node ids.
@@ -217,65 +240,77 @@ std::vector<std::byte> HierExchangeBytes(const VnodeMap& vn, int my_rank,
                                          HierLevelStats* stats = nullptr) {
   using detail::Section;
   const int v = vn.vnode_of[my_rank];
-  const int leader = vn.LeaderOf(v);
+  const int base = vn.first[v];
   const int vsize = vn.size[v];
-  const int me_local = my_rank - leader;
+  const auto local = [base](int g) {
+    return static_cast<std::size_t>(g - base);
+  };
+  HierLevelStats unused;
+  HierLevelStats& st = stats != nullptr ? *stats : unused;
+  // Runs one collective phase: bufs[i] goes to group rank dests[i];
+  // counts the phase's payload messages and bytes into the given level.
+  const auto ship = [&sparse](const std::vector<std::vector<std::byte>>& bufs,
+                              const std::vector<int>& dests,
+                              std::int64_t& messages, std::int64_t& bytes) {
+    std::vector<mpisim::SparseSendBlock> sends;
+    sends.reserve(bufs.size());
+    for (std::size_t i = 0; i < bufs.size(); ++i) {
+      sends.push_back(mpisim::SparseSendBlock{
+          .dest = dests[i], .data = bufs[i].data(),
+          .count = static_cast<int>(bufs[i].size())});
+      messages += 1;
+      bytes += static_cast<std::int64_t>(bufs[i].size());
+    }
+    return sparse(std::span<const mpisim::SparseSendBlock>(sends));
+  };
 
-  // --- Phase A: split pieces into self / intra-direct / cross ------------
+  // --- Phase A: split pieces into self / intra-direct / per-agent cross --
   std::vector<std::byte> self_piece;
   std::vector<const BytePiece*> direct(static_cast<std::size_t>(vsize),
                                        nullptr);  // by local member index
-  std::vector<Section> cross;  // dest-ascending (pieces are)
+  // Cross pieces by the local member that relays them (dest-ascending,
+  // as the pieces are).
+  std::vector<std::vector<Section>> to_agent(static_cast<std::size_t>(vsize));
   for (const BytePiece& piece : pieces) {
     if (piece.bytes <= 0) continue;
-    if (vn.vnode_of[piece.dest] == v) {
+    const int u = vn.vnode_of[piece.dest];
+    if (u == v) {
       if (piece.dest == my_rank) {
         self_piece.assign(piece.data, piece.data + piece.bytes);
       } else {
-        direct[static_cast<std::size_t>(piece.dest - leader)] = &piece;
+        direct[local(piece.dest)] = &piece;
       }
     } else {
       Section s;
       s.dest = piece.dest;
       s.payload.assign(piece.data, piece.data + piece.bytes);
-      cross.push_back(std::move(s));
+      to_agent[local(vn.AgentOf(v, u))].push_back(std::move(s));
     }
   }
 
   std::vector<std::vector<std::byte>> bufs_a;
-  std::vector<mpisim::SparseSendBlock> sends_a;
-  for (int q = 0; q < vsize; ++q) {
-    const int g = leader + q;
+  std::vector<int> dests_a;
+  for (int g = base; g < base + vsize; ++g) {
     if (g == my_rank) continue;
-    const BytePiece* d = direct[static_cast<std::size_t>(q)];
-    const bool relay_here = (g == leader) && !cross.empty();
-    if (d == nullptr && !relay_here) continue;
+    const BytePiece* d = direct[local(g)];
+    const std::vector<Section>& relay = to_agent[local(g)];
+    if (d == nullptr && relay.empty()) continue;
     std::vector<std::byte> msg;
     detail::PutI64(msg, d != nullptr ? d->bytes : 0);
     if (d != nullptr) detail::Append(msg, d->data, d->bytes);
-    if (relay_here) detail::PutSections(msg, cross);
+    if (!relay.empty()) detail::PutSections(msg, relay);
     bufs_a.push_back(std::move(msg));
-    sends_a.push_back(mpisim::SparseSendBlock{
-        .dest = g, .data = bufs_a.back().data(),
-        .count = static_cast<int>(bufs_a.back().size())});
+    dests_a.push_back(g);
   }
-  if (stats != nullptr) {
-    stats->intra_messages += static_cast<std::int64_t>(sends_a.size());
-    for (const auto& b : bufs_a) {
-      stats->intra_bytes += static_cast<std::int64_t>(b.size());
-    }
-  }
-  const std::vector<mpisim::SparseRecvMessage> deliv_a = sparse(
-      std::span<const mpisim::SparseSendBlock>(sends_a));
+  const std::vector<mpisim::SparseRecvMessage> deliv_a =
+      ship(bufs_a, dests_a, st.intra_messages, st.intra_bytes);
 
-  // Parse phase-A deliveries: direct payloads by local source index; at
-  // the leader, buffered cross pieces grouped per source (sources arrive
-  // ascending; own cross pieces belong at slot `me == leader`, the
-  // smallest rank of the vnode, so they go first).
+  // Parse phase-A deliveries: direct payloads and the cross pieces this
+  // rank relays, both by local source index (own pieces at its own slot).
   std::vector<std::vector<std::byte>> direct_in(
       static_cast<std::size_t>(vsize));
-  std::vector<std::vector<Section>> relays;  // source-ascending
-  if (my_rank == leader && !cross.empty()) relays.push_back(std::move(cross));
+  std::vector<std::vector<Section>> relays(static_cast<std::size_t>(vsize));
+  relays[local(my_rank)] = std::move(to_agent[local(my_rank)]);
   for (const mpisim::SparseRecvMessage& m : deliv_a) {
     const std::byte* p = m.bytes.data();
     const std::size_t avail = m.bytes.size();
@@ -286,142 +321,105 @@ std::vector<std::byte> HierExchangeBytes(const VnodeMap& vn, int my_rank,
     if (db < 0 || avail < 8 + static_cast<std::size_t>(db)) {
       throw mpisim::UsageError("hier exchange: truncated phase-A payload");
     }
-    direct_in[static_cast<std::size_t>(m.source - leader)]
-        .assign(p + 8, p + 8 + db);
-    std::size_t off = 8 + static_cast<std::size_t>(db);
-    if (off < avail) {  // relay bundle (only the leader receives these)
-      std::vector<Section> r;
-      off += detail::GetSections(p + off, avail - off, &r);
-      relays.push_back(std::move(r));
+    direct_in[local(m.source)].assign(p + 8, p + 8 + db);
+    const std::size_t off = 8 + static_cast<std::size_t>(db);
+    if (off < avail) {  // relay bundle: this rank is an agent for it
+      detail::GetSections(p + off, avail - off, &relays[local(m.source)]);
     }
   }
 
-  // --- Phase B: leaders merge per destination, one bundle per vnode ------
-  std::vector<std::vector<std::byte>> bufs_b;
-  std::vector<mpisim::SparseSendBlock> sends_b;
-  if (my_rank == leader && !relays.empty()) {
-    // Merge: sections of each relay are dest-ascending and relays are
-    // source-ascending, so appending relay-by-relay into a per-dest
-    // accumulator yields source-ascending section payloads.
-    std::vector<Section> merged;  // dest-ascending
-    for (std::vector<Section>& r : relays) {
-      std::vector<Section> next;
-      next.reserve(merged.size() + r.size());
-      std::size_t i = 0, j = 0;
-      while (i < merged.size() || j < r.size()) {
-        if (j >= r.size() ||
-            (i < merged.size() && merged[i].dest < r[j].dest)) {
-          next.push_back(std::move(merged[i++]));
-        } else if (i >= merged.size() || r[j].dest < merged[i].dest) {
-          next.push_back(std::move(r[j++]));
-        } else {
-          merged[i].payload.insert(merged[i].payload.end(),
-                                   r[j].payload.begin(), r[j].payload.end());
-          next.push_back(std::move(merged[i]));
-          ++i;
-          ++j;
-        }
+  // --- Phase B: agents merge per destination, one bundle per vnode -------
+  // Sections of each relay are dest-ascending and relays are visited
+  // source-ascending, so appending relay-by-relay into a per-dest
+  // accumulator yields source-ascending section payloads.
+  std::vector<Section> merged;  // dest-ascending
+  for (std::vector<Section>& r : relays) {
+    if (r.empty()) continue;
+    std::vector<Section> next;
+    next.reserve(merged.size() + r.size());
+    std::size_t i = 0, j = 0;
+    while (i < merged.size() || j < r.size()) {
+      if (j >= r.size() ||
+          (i < merged.size() && merged[i].dest < r[j].dest)) {
+        next.push_back(std::move(merged[i++]));
+      } else if (i >= merged.size() || r[j].dest < merged[i].dest) {
+        next.push_back(std::move(r[j++]));
+      } else {
+        merged[i].payload.insert(merged[i].payload.end(),
+                                 r[j].payload.begin(), r[j].payload.end());
+        next.push_back(std::move(merged[i]));
+        ++i;
+        ++j;
       }
-      merged = std::move(next);
     }
-    // One bundle per destination vnode (merged is dest-ascending and
-    // vnodes are contiguous rank ranges, so destinations of one vnode
-    // are consecutive).
-    for (std::size_t i = 0; i < merged.size();) {
-      const int u = vn.vnode_of[merged[i].dest];
-      std::size_t j = i;
-      while (j < merged.size() && vn.vnode_of[merged[j].dest] == u) ++j;
-      std::vector<std::byte> msg;
-      detail::PutSections(
-          msg, std::span<const Section>(merged.data() + i, j - i));
-      bufs_b.push_back(std::move(msg));
-      sends_b.push_back(mpisim::SparseSendBlock{
-          .dest = vn.LeaderOf(u), .data = bufs_b.back().data(),
-          .count = static_cast<int>(bufs_b.back().size())});
-      i = j;
-    }
+    merged = std::move(next);
   }
-  if (stats != nullptr) {
-    stats->inter_messages += static_cast<std::int64_t>(sends_b.size());
-    for (const auto& b : bufs_b) {
-      stats->inter_bytes += static_cast<std::int64_t>(b.size());
-    }
+  // One bundle per destination vnode (merged is dest-ascending and vnodes
+  // are contiguous rank ranges, so destinations of one vnode are
+  // consecutive).
+  std::vector<std::vector<std::byte>> bufs_b;
+  std::vector<int> dests_b;
+  for (std::size_t i = 0; i < merged.size();) {
+    const int u = vn.vnode_of[merged[i].dest];
+    std::size_t j = i;
+    while (j < merged.size() && vn.vnode_of[merged[j].dest] == u) ++j;
+    std::vector<std::byte> msg;
+    detail::PutSections(msg,
+                        std::span<const Section>(merged.data() + i, j - i));
+    bufs_b.push_back(std::move(msg));
+    dests_b.push_back(vn.AgentOf(u, v));
+    i = j;
   }
-  const std::vector<mpisim::SparseRecvMessage> deliv_b = sparse(
-      std::span<const mpisim::SparseSendBlock>(sends_b));
+  const std::vector<mpisim::SparseRecvMessage> deliv_b =
+      ship(bufs_b, dests_b, st.inter_messages, st.inter_bytes);
 
-  // Parse phase-B bundles: per local destination, (source vnode, payload)
-  // pairs, source-vnode-ascending (deliveries arrive ordered by source
-  // leader rank, and leader order == vnode order).
-  std::vector<std::vector<std::pair<int, std::vector<std::byte>>>> for_member(
+  // Parse phase-B bundles: per local destination, one section per source
+  // vnode (Section::dest holds the source vnode from here on).
+  std::vector<std::vector<Section>> for_member(
       static_cast<std::size_t>(vsize));
   for (const mpisim::SparseRecvMessage& m : deliv_b) {
     const int u = vn.vnode_of[m.source];
     std::vector<Section> sections;
     detail::GetSections(m.bytes.data(), m.bytes.size(), &sections);
     for (Section& s : sections) {
-      for_member[static_cast<std::size_t>(s.dest - leader)]
-          .emplace_back(u, std::move(s.payload));
+      const std::size_t q = local(s.dest);
+      s.dest = u;
+      for_member[q].push_back(std::move(s));
     }
   }
 
-  // --- Phase C: leader scatters remote bytes to local destinations -------
-  std::vector<std::byte> my_lower, my_upper;
+  // --- Phase C: agents scatter remote bytes to local destinations -------
   std::vector<std::vector<std::byte>> bufs_c;
-  std::vector<mpisim::SparseSendBlock> sends_c;
-  if (my_rank == leader) {
-    for (int q = 0; q < vsize; ++q) {
-      std::vector<std::byte> lower, upper;
-      for (auto& [u, payload] : for_member[static_cast<std::size_t>(q)]) {
-        auto& out = u < v ? lower : upper;
-        out.insert(out.end(), payload.begin(), payload.end());
-      }
-      if (q == 0) {  // the leader itself: no message
-        my_lower = std::move(lower);
-        my_upper = std::move(upper);
-        continue;
-      }
-      if (lower.empty() && upper.empty()) continue;
-      std::vector<std::byte> msg;
-      detail::PutI64(msg, static_cast<std::int64_t>(lower.size()));
-      detail::Append(msg, lower.data(), static_cast<std::int64_t>(lower.size()));
-      detail::Append(msg, upper.data(), static_cast<std::int64_t>(upper.size()));
-      bufs_c.push_back(std::move(msg));
-      sends_c.push_back(mpisim::SparseSendBlock{
-          .dest = leader + q, .data = bufs_c.back().data(),
-          .count = static_cast<int>(bufs_c.back().size())});
-    }
+  std::vector<int> dests_c;
+  for (int g = base; g < base + vsize; ++g) {
+    const std::vector<Section>& sections = for_member[local(g)];
+    if (g == my_rank || sections.empty()) continue;
+    std::vector<std::byte> msg;
+    detail::PutSections(msg, sections);
+    bufs_c.push_back(std::move(msg));
+    dests_c.push_back(g);
   }
-  if (stats != nullptr) {
-    stats->intra_messages += static_cast<std::int64_t>(sends_c.size());
-    for (const auto& b : bufs_c) {
-      stats->intra_bytes += static_cast<std::int64_t>(b.size());
-    }
-  }
-  const std::vector<mpisim::SparseRecvMessage> deliv_c = sparse(
-      std::span<const mpisim::SparseSendBlock>(sends_c));
+  const std::vector<mpisim::SparseRecvMessage> deliv_c =
+      ship(bufs_c, dests_c, st.intra_messages, st.intra_bytes);
+  std::vector<Section> remote = std::move(for_member[local(my_rank)]);
   for (const mpisim::SparseRecvMessage& m : deliv_c) {
-    const std::byte* p = m.bytes.data();
-    const std::size_t avail = m.bytes.size();
-    if (avail < 8) {
-      throw mpisim::UsageError("hier exchange: truncated phase-C message");
-    }
-    const std::int64_t lb = detail::GetI64(p);
-    if (lb < 0 || avail < 8 + static_cast<std::size_t>(lb)) {
-      throw mpisim::UsageError("hier exchange: truncated phase-C payload");
-    }
-    my_lower.assign(p + 8, p + 8 + lb);
-    my_upper.assign(p + 8 + lb, p + avail);
+    detail::GetSections(m.bytes.data(), m.bytes.size(), &remote);
   }
+  std::sort(remote.begin(), remote.end(),
+            [](const Section& a, const Section& b) { return a.dest < b.dest; });
 
   // --- Final assembly: lower nodes ++ own-node block ++ upper nodes ------
-  std::vector<std::byte> result = std::move(my_lower);
-  for (int q = 0; q < vsize; ++q) {
-    const std::vector<std::byte>& block =
-        q == me_local ? self_piece : direct_in[static_cast<std::size_t>(q)];
+  std::vector<std::byte> result;
+  auto append = [&result](const std::vector<std::byte>& block) {
     result.insert(result.end(), block.begin(), block.end());
+  };
+  auto upper = std::find_if(remote.begin(), remote.end(),
+                            [v](const Section& s) { return s.dest > v; });
+  for (auto it = remote.begin(); it != upper; ++it) append(it->payload);
+  for (int g = base; g < base + vsize; ++g) {
+    append(g == my_rank ? self_piece : direct_in[local(g)]);
   }
-  result.insert(result.end(), my_upper.begin(), my_upper.end());
+  for (auto it = upper; it != remote.end(); ++it) append(it->payload);
   return result;
 }
 

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "mpisim/mpisim.hpp"
@@ -111,6 +112,37 @@ TEST(Deadlock, SpinWaitFallsBackToShortTimeoutForensics) {
   EXPECT_NE(report.find("blocked in Wait"), std::string::npos) << report;
   EXPECT_NE(report.find("not blocked in the substrate"), std::string::npos)
       << report;
+}
+
+TEST(Deadlock, SpinWaitWithTrafficOutlivesTimeout) {
+  // A wait that keeps receiving is progress, not a deadlock: rank 0 polls
+  // one WaitUntil for ten messages rank 1 sends ~100 ms apart -- ~1 s in
+  // all, under a 300 ms timeout. Every arrival restarts the deadline.
+  constexpr int kMessages = 10;
+  testutil::PerRank<int> received(2);
+  mpisim::Runtime rt(Opts(2, std::chrono::milliseconds(300)));
+  rt.Run([&](mpisim::Comm& world) {
+    if (world.Rank() == 1) {
+      for (int i = 0; i < kMessages; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        mpisim::Send(&i, 1, Datatype::kInt32, 0, 5, world);
+      }
+      return;
+    }
+    int got = 0;
+    mpisim::WaitUntil(
+        [&] {
+          if (mpisim::Iprobe(1, 5, world)) {
+            int x = 0;
+            mpisim::Recv(&x, 1, Datatype::kInt32, 1, 5, world);
+            ++got;
+          }
+          return got == kMessages;
+        },
+        "test: paced receives");
+    received.Set(0, got);
+  });
+  EXPECT_EQ(received[0], kMessages);
 }
 
 TEST(Deadlock, RbcWaitTimeoutDumpsWaitGraph) {

@@ -359,6 +359,57 @@ TEST_P(HierExchangeSweep, EmptyReceiverMatchesFlat) {
            });
 }
 
+/// Multi-lane spread: with traffic between every pair of ranks, each
+/// ordered node pair crosses the network in exactly one bundle, and the
+/// bundles of a node are dealt over its members -- no rank sends more
+/// than ceil((m - 1) / size) of them (m nodes, size = its node's ranks).
+class HierExchangeSpread : public ::testing::TestWithParam<Backend> {};
+
+INSTANTIATE_TEST_SUITE_P(Backends, HierExchangeSpread,
+                         ::testing::Values(Backend::kRbc, Backend::kMpi,
+                                           Backend::kIcomm));
+
+TEST_P(HierExchangeSpread, NoRankSendsMoreThanItsShareOfBundles) {
+  const Backend b = GetParam();
+  const topo::Topology shapes[] = {
+      topo::Topology::Uniform(64, 8),
+      topo::Topology::OfNodeSizes({3, 1, 4, 1, 2, 1}),  // ragged, 1-rank nodes
+      topo::Topology::Uniform(12, 2),  // more remote nodes than members
+  };
+  for (const topo::Topology& shape : shapes) {
+    const int p = shape.TotalRanks();
+    const int m = shape.NodeCount();
+    testutil::PerRank<std::int64_t> bundles(p);
+    RunRanks(TwoLevelOpts(p, shape),
+             [&, b, p](mpisim::Comm& world, mpisim::Runtime&) {
+               const std::shared_ptr<Transport> tr = Make(b, world);
+               const int me = tr->Rank();
+               std::vector<std::vector<double>> buckets(
+                   static_cast<std::size_t>(p));
+               for (int d = 0; d < p; ++d) {
+                 buckets[static_cast<std::size_t>(d)].assign(
+                     static_cast<std::size_t>(1 + (me + d) % 3),
+                     me * 1000.0 + d);
+               }
+               ExchangeStats hs;
+               const auto dense = jsort::exchange::ExchangeBuckets(
+                   *tr, buckets, 45, nullptr, 0, Mode::kAlltoallv);
+               const auto hier = jsort::exchange::ExchangeBuckets(
+                   *tr, buckets, 45, &hs, 0, Mode::kHierarchical);
+               EXPECT_EQ(dense, hier);
+               bundles.Set(me, hs.inter_messages);
+             });
+    std::int64_t total = 0;
+    for (int r = 0; r < p; ++r) {
+      const int size = shape.NodeSize(shape.NodeOf(r));
+      EXPECT_LE(bundles[r], (m - 1 + size - 1) / size)
+          << "rank " << r << " of " << p << " ranks on " << m << " nodes";
+      total += bundles[r];
+    }
+    EXPECT_EQ(total, static_cast<std::int64_t>(m) * (m - 1));
+  }
+}
+
 /// kAuto routing is a function of two globally shared facts -- the
 /// installed cost model and the group's node span. Two-level model +
 /// multi-node group: the engine runs (per-level counters populate, no
@@ -389,7 +440,7 @@ TEST(HierAutoRouting, FollowsCostModelAndNodeSpan) {
     inter += two_level[r].inter_messages;
     intra += two_level[r].intra_messages;
   }
-  // The engine ran: cross-node traffic travels leader-to-leader (exactly
+  // The engine ran: cross-node traffic travels agent-to-agent (exactly
   // one bundle per ordered node pair here) and the intra phases carry the
   // rest.
   EXPECT_EQ(inter, 2);

@@ -150,6 +150,36 @@ TEST(VnodeMap, RaggedRunsWithSingleRankNode) {
   EXPECT_EQ(vn.LeaderOf(vn.vnode_of[6]), 4);
 }
 
+TEST(VnodeMap, AgentsDealRemoteVnodesRoundRobin) {
+  // Nodes of {2, 1, 3} ranks plus two 1-rank nodes: m = 5 vnodes. Each
+  // vnode deals the other four, in vnode order, over its members.
+  const int node_of[] = {0, 0, 1, 2, 2, 2, 3, 4};
+  const topo::VnodeMap vn = topo::VnodesOf(node_of);
+  ASSERT_EQ(vn.Count(), 5);
+  EXPECT_EQ(vn.AgentOf(0, 1), 0);
+  EXPECT_EQ(vn.AgentOf(0, 2), 1);
+  EXPECT_EQ(vn.AgentOf(0, 3), 0);
+  EXPECT_EQ(vn.AgentOf(0, 4), 1);
+  EXPECT_EQ(vn.AgentOf(1, 0), 2);  // a 1-rank vnode carries everything
+  EXPECT_EQ(vn.AgentOf(1, 4), 2);
+  EXPECT_EQ(vn.AgentOf(2, 0), 3);
+  EXPECT_EQ(vn.AgentOf(2, 1), 4);
+  EXPECT_EQ(vn.AgentOf(2, 3), 5);
+  EXPECT_EQ(vn.AgentOf(2, 4), 3);
+  // No member serves more than ceil((m - 1) / size) remote vnodes.
+  for (int v = 0; v < vn.Count(); ++v) {
+    std::vector<int> load(static_cast<std::size_t>(vn.size[v]), 0);
+    for (int u = 0; u < vn.Count(); ++u) {
+      if (u != v) ++load[static_cast<std::size_t>(vn.AgentOf(v, u) -
+                                                  vn.first[v])];
+    }
+    for (int l : load) {
+      EXPECT_LE(l, (vn.Count() - 1 + vn.size[v] - 1) / vn.size[v])
+          << "vnode " << v;
+    }
+  }
+}
+
 TEST(VnodeMap, NonContiguousNodeIdSplitsIntoTwoVnodes) {
   // A node id re-appearing after a gap must form a second, independent
   // vnode -- every vnode stays a contiguous rank range.
