@@ -1,13 +1,12 @@
 // All-to-all exchange benchmark: rbc::Alltoallv vs mpisim::Alltoallv on
-// uniform personalized exchanges, the jsort::exchange segment paths
-// (dense Alltoallv vs coalesced vs sparse) on a skewed neighbour-rotation
-// redistribution, and the large-message regime (segment_bytes sweeps) on
-// the same skewed workload. The skewed rows also report the *measured*
-// per-rank message count (payload plus every metadata message: the dense
-// counts round, the sparse barriers) from the substrate's traffic
+// uniform personalized exchanges, the jsort::exchange coalesced segment
+// path on a skewed neighbour-rotation redistribution, and the
+// large-message regime (segment_bytes sweeps) on the same skewed
+// workload. The skewed rows also report the *measured* per-rank message
+// count (payload plus any metadata message) from the substrate's traffic
 // counters; the large-message rows add the exchange layer's wire-segment
 // count and the measured maximum single-message size, which the
-// segmented paths must keep at or below segment_bytes (the manifest
+// segmented rows must keep at or below segment_bytes (the manifest
 // assertion CI gates on).
 #include <cstdint>
 #include <vector>
@@ -61,8 +60,8 @@ void UniformSweep(benchutil::BenchContext& ctx) {
 }
 
 /// Skewed redistribution: every rank's elements all belong to one
-/// neighbour (the jquick-style sparse pattern), via all three exchange
-/// paths. Alongside the timings, one extra untimed run measures the
+/// neighbour (the jquick-style sparse pattern), via the coalesced segment
+/// path. Alongside the timings, one extra untimed run measures the
 /// maximum per-rank message count (payload + metadata) from the
 /// substrate's traffic counters.
 void SkewSweepAt(benchutil::BenchContext& ctx, int p, int reps) {
@@ -78,7 +77,8 @@ void SkewSweepAt(benchutil::BenchContext& ctx, int p, int reps) {
       const int owner = (me + 1) % p;
       const std::int64_t begin = layout.PrefixBefore(owner);
       std::vector<double> data(static_cast<std::size_t>(cap), 1.0);
-      auto run_once = [&](jsort::exchange::Mode mode) {
+      const auto mode = jsort::exchange::Mode::kCoalesced;
+      auto run_once = [&] {
         std::vector<double> sink;
         std::vector<jsort::exchange::Segment> segs(1);
         segs[0] = jsort::exchange::Segment{data.data(), cap, begin, &sink,
@@ -87,29 +87,23 @@ void SkewSweepAt(benchutil::BenchContext& ctx, int p, int reps) {
                               tr, layout, std::move(segs), 19, mode),
                           "bench_alltoall: segment exchange");
       };
-      for (auto mode : {jsort::exchange::Mode::kAlltoallv,
-                        jsort::exchange::Mode::kCoalesced,
-                        jsort::exchange::Mode::kSparse}) {
-        const auto m = benchutil::MeasureOnRanks(world, reps, [&] {
-          run_once(mode);
-        });
-        // Untimed message-count pass: max per-rank sends of one exchange
-        // (the counter only sees the caller's own sends, all of which
-        // happen inside run_once).
-        mpisim::Barrier(world);
-        const double before =
-            static_cast<double>(mpisim::Ctx().stats.messages_sent);
-        run_once(mode);
-        const double local =
-            static_cast<double>(mpisim::Ctx().stats.messages_sent) - before;
-        double max_msgs = 0.0;
-        mpisim::Allreduce(&local, &max_msgs, 1, mpisim::Datatype::kFloat64,
-                          mpisim::ReduceOp::kMax, world);
-        if (world.Rank() == 0) {
-          ctx.Row("segment_exchange_skewed", benchutil::ModeName(mode), p,
-                  cap, m,
-                  {{"messages", static_cast<std::int64_t>(max_msgs)}});
-        }
+      const auto m = benchutil::MeasureOnRanks(world, reps, run_once);
+      // Untimed message-count pass: max per-rank sends of one exchange
+      // (the counter only sees the caller's own sends, all of which
+      // happen inside run_once).
+      mpisim::Barrier(world);
+      const double before =
+          static_cast<double>(mpisim::Ctx().stats.messages_sent);
+      run_once();
+      const double local =
+          static_cast<double>(mpisim::Ctx().stats.messages_sent) - before;
+      double max_msgs = 0.0;
+      mpisim::Allreduce(&local, &max_msgs, 1, mpisim::Datatype::kFloat64,
+                        mpisim::ReduceOp::kMax, world);
+      if (world.Rank() == 0) {
+        ctx.Row("segment_exchange_skewed", benchutil::ModeName(mode), p,
+                cap, m,
+                {{"messages", static_cast<std::int64_t>(max_msgs)}});
       }
     }
   });
@@ -125,10 +119,10 @@ void SkewSweep(benchutil::BenchContext& ctx) {
 
 /// Large-message regime on the skewed rotation: one destination receives
 /// the whole per-rank payload (`cap` elements), swept over segment sizes
-/// for the dense and sparse paths plus the unsegmented baselines. Each row carries the exchange layer's wire-segment count
-/// and the measured maximum single-message size across all ranks -- the
-/// acceptance check is max_msg_bytes <= segment_bytes on the segmented
-/// rows.
+/// for the coalesced path plus the unsegmented baseline. Each row carries
+/// the exchange layer's wire-segment count and the measured maximum
+/// single-message size across all ranks -- the acceptance check is
+/// max_msg_bytes <= segment_bytes on the segmented rows.
 void LargeMessageSweepAt(benchutil::BenchContext& ctx, int p, int cap,
                          int reps) {
   mpisim::Runtime rt(mpisim::Runtime::Options{.num_ranks = p});
@@ -142,7 +136,8 @@ void LargeMessageSweepAt(benchutil::BenchContext& ctx, int p, int cap,
     const int owner = (me + 1) % p;
     const std::int64_t begin = layout.PrefixBefore(owner);
     std::vector<double> data(static_cast<std::size_t>(cap), 1.0);
-    auto run_once = [&](jsort::exchange::Mode mode, std::int64_t seg,
+    const auto mode = jsort::exchange::Mode::kCoalesced;
+    auto run_once = [&](std::int64_t seg,
                         jsort::exchange::ExchangeStats* stats) {
       std::vector<double> sink;
       std::vector<jsort::exchange::Segment> segs(1);
@@ -152,44 +147,41 @@ void LargeMessageSweepAt(benchutil::BenchContext& ctx, int p, int cap,
                             tr, layout, std::move(segs), 19, mode, stats, seg),
                         "bench_alltoall: segment exchange");
     };
-    for (auto mode : {jsort::exchange::Mode::kAlltoallv,
-                      jsort::exchange::Mode::kSparse}) {
-      for (std::int64_t seg :
-           {std::int64_t{0}, std::int64_t{4096}, std::int64_t{65536}}) {
-        const auto m = benchutil::MeasureOnRanks(world, reps, [&] {
-          run_once(mode, seg, nullptr);
-        });
-        // Untimed accounting pass: per-rank message count, wire segments,
-        // and the fleet-wide maximum single-message size.
-        mpisim::Barrier(world);
-        mpisim::Ctx().stats.max_message_bytes = 0;
-        const double before =
-            static_cast<double>(mpisim::Ctx().stats.messages_sent);
-        jsort::exchange::ExchangeStats stats;
-        run_once(mode, seg, &stats);
-        // Read both counters before the reductions below inject their own
-        // wire messages into them.
-        const double local_msgs =
-            static_cast<double>(mpisim::Ctx().stats.messages_sent) - before;
-        const double local_bytes =
-            static_cast<double>(mpisim::Ctx().stats.max_message_bytes);
-        double max_msgs = 0.0;
-        mpisim::Allreduce(&local_msgs, &max_msgs, 1,
-                          mpisim::Datatype::kFloat64, mpisim::ReduceOp::kMax,
-                          world);
-        double max_bytes = 0.0;
-        mpisim::Allreduce(&local_bytes, &max_bytes, 1,
-                          mpisim::Datatype::kFloat64, mpisim::ReduceOp::kMax,
-                          world);
-        if (world.Rank() == 0) {
-          ctx.Row("segment_exchange_large", benchutil::ModeName(mode), p,
-                  cap, m,
-                  {{"messages", static_cast<std::int64_t>(max_msgs)},
-                   {"segment_bytes", seg},
-                   {"segments", stats.segments},
-                   {"max_msg_bytes",
-                    static_cast<std::int64_t>(max_bytes)}});
-        }
+    for (std::int64_t seg :
+         {std::int64_t{0}, std::int64_t{4096}, std::int64_t{65536}}) {
+      const auto m = benchutil::MeasureOnRanks(world, reps, [&] {
+        run_once(seg, nullptr);
+      });
+      // Untimed accounting pass: per-rank message count, wire segments,
+      // and the fleet-wide maximum single-message size.
+      mpisim::Barrier(world);
+      mpisim::Ctx().stats.max_message_bytes = 0;
+      const double before =
+          static_cast<double>(mpisim::Ctx().stats.messages_sent);
+      jsort::exchange::ExchangeStats stats;
+      run_once(seg, &stats);
+      // Read both counters before the reductions below inject their own
+      // wire messages into them.
+      const double local_msgs =
+          static_cast<double>(mpisim::Ctx().stats.messages_sent) - before;
+      const double local_bytes =
+          static_cast<double>(mpisim::Ctx().stats.max_message_bytes);
+      double max_msgs = 0.0;
+      mpisim::Allreduce(&local_msgs, &max_msgs, 1,
+                        mpisim::Datatype::kFloat64, mpisim::ReduceOp::kMax,
+                        world);
+      double max_bytes = 0.0;
+      mpisim::Allreduce(&local_bytes, &max_bytes, 1,
+                        mpisim::Datatype::kFloat64, mpisim::ReduceOp::kMax,
+                        world);
+      if (world.Rank() == 0) {
+        ctx.Row("segment_exchange_large", benchutil::ModeName(mode), p,
+                cap, m,
+                {{"messages", static_cast<std::int64_t>(max_msgs)},
+                 {"segment_bytes", seg},
+                 {"segments", stats.segments},
+                 {"max_msg_bytes",
+                  static_cast<std::int64_t>(max_bytes)}});
       }
     }
   });
@@ -211,14 +203,14 @@ int main(int argc, char** argv) {
   spec.binary = "bench_alltoall";
   spec.figure = "exchange layer (Sections IV/VII infrastructure)";
   spec.description =
-      "uniform and skewed all-to-all exchanges across the dense, coalesced "
-      "and sparse delivery paths, plus the segmented large-message regime";
+      "uniform all-to-all exchanges, the coalesced segment exchange on a "
+      "skewed rotation, plus the segmented large-message regime";
   spec.default_p = 32;
   spec.default_reps = 5;
   spec.sections = {
       {"uniform", "rbc vs native Alltoallv on uniform exchanges",
        UniformSweep},
-      {"skewed", "delivery-path comparison on the neighbour rotation",
+      {"skewed", "coalesced segment exchange on the neighbour rotation",
        SkewSweep},
       {"large", "segment_bytes sweep in the large-message regime",
        LargeMessageSweep}};

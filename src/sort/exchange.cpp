@@ -72,29 +72,6 @@ void AddHierStats(ExchangeStats* stats, const topo::HierLevelStats& hs) {
   stats->inter_bytes += hs.inter_bytes;
 }
 
-/// Globally consistent kAuto resolution for the segment exchange. The
-/// decision must be identical on every rank of the group (receivers
-/// behave differently per mode), so it may only depend on quantities all
-/// ranks share: the group size and the segment count. An interval
-/// redistribution sends each segment to at most a handful of contiguous
-/// destinations (greedy chunks of a run no longer than the uniform quota
-/// span <= 4 ranks), so with k segments a rank reaches at most ~4k peers
-/// -- the estimated non-empty-destination fraction is min(4k, p-1)/(p-1).
-/// At f >= 1/2 the dense path wins (most peers are hit anyway); below it
-/// the coalesced path: segment exchanges know their receive expectations,
-/// and the expectation-terminated drain adds zero messages where the
-/// sparse collective pays two barriers. The segment limit does not enter
-/// the decision -- the coalesced path chunks its own messages.
-/// (ExchangeGroupwise is the kAuto branch that resolves to kSparse
-/// unconditionally: there receive counts are unknown and expectation-based
-/// termination is impossible.)
-Mode Resolve(Mode mode, int p, std::size_t k) {
-  if (mode != Mode::kAuto) return mode;
-  const std::int64_t max_targets = 4 * static_cast<std::int64_t>(k);
-  if (2 * max_targets >= p - 1) return Mode::kAlltoallv;
-  return Mode::kCoalesced;
-}
-
 /// Wire chunk size of the coalesced path: each self-describing message
 /// ([k int64 counts][payload]) ships as consecutive byte pieces of this
 /// size, the last one shorter; 0 = unsegmented. Never below the counts
@@ -119,139 +96,25 @@ std::size_t CoalescedHeadBytes(std::size_t bytes, std::size_t chunk) {
   return chunk == 0 ? bytes : std::min(chunk, bytes);
 }
 
-/// Shared state of one in-flight segment exchange; the returned Poll holds
-/// it alive.
+/// Shared state of one in-flight coalesced segment exchange; the returned
+/// Poll holds it alive.
 struct SegmentState {
   std::shared_ptr<Transport> tr;
-  int p = 0;
-  int me = 0;
   std::size_t k = 0;
   int tag = 0;
-  std::int64_t segment_bytes = 0;
-  std::size_t chunk = 0;  // coalesced wire chunk bytes, 0 = unsegmented
+  std::size_t chunk = 0;  // wire chunk bytes, 0 = unsegmented
   std::vector<Segment> segments;
   std::vector<std::int64_t> remaining;  // per segment, elements still owed
 
-  // Send side (both modes).
-  std::vector<std::int64_t> counts_matrix;  // [dest * k + seg]
-  std::vector<double> payload;              // grouped by dest, seg order
-  std::vector<int> sendcounts, sdispls;     // per dest, elements
-
-  // Dense-path state.
-  int phase = 0;
-  Poll pending;
-  std::vector<std::int64_t> incoming_matrix;  // [src * k + seg]
-  std::vector<int> recvcounts, rdispls;
-  std::vector<double> staging;
-
-  bool coalesced = false;
-  bool done = false;
-
-  // Sparse-path state.
-  bool sparse = false;
-  std::vector<SparseDelivery> deliveries;
-
-  bool Step();
-  void StartDenseCountsRound();
-  void FinishDense();
   bool DrainCoalesced();
-  void UnpackMessage(const std::byte* msg, std::size_t size);
+  std::size_t UnpackMessage(const std::byte* msg, std::size_t size);
 };
 
-bool SegmentState::Step() {
-  if (done) return true;
-  if (sparse) {
-    if (!pending()) return false;
-    for (const SparseDelivery& d : deliveries) {
-      UnpackMessage(d.bytes.data(), d.bytes.size());
-    }
-    deliveries.clear();
-    for (std::size_t j = 0; j < k; ++j) {
-      if (remaining[j] != 0) {
-        throw mpisim::Error(
-            "jsort::exchange: sparse exchange delivered a different element "
-            "count than the layout overlap");
-      }
-    }
-    done = true;
-    return true;
-  }
-  if (coalesced) {
-    if (!DrainCoalesced()) return false;
-    done = true;
-    return true;
-  }
-  if (!pending()) return false;
-  if (phase == 0) {
-    // Counts known: size the staging buffer and start the payload round.
-    recvcounts.assign(static_cast<std::size_t>(p), 0);
-    rdispls.assign(static_cast<std::size_t>(p), 0);
-    std::int64_t total = 0;
-    for (int s = 0; s < p; ++s) {
-      std::int64_t from_s = 0;
-      for (std::size_t j = 0; j < k; ++j) {
-        from_s += incoming_matrix[static_cast<std::size_t>(s) * k + j];
-      }
-      recvcounts[static_cast<std::size_t>(s)] = static_cast<int>(from_s);
-      rdispls[static_cast<std::size_t>(s)] = static_cast<int>(total);
-      total += from_s;
-    }
-    staging.resize(static_cast<std::size_t>(total));
-    pending = tr->Ialltoallv(payload.data(), sendcounts, sdispls,
-                             Datatype::kFloat64, staging.data(), recvcounts,
-                             rdispls, tag, segment_bytes);
-    phase = 1;
-    if (!pending()) return false;
-  }
-  FinishDense();
-  done = true;
-  return true;
-}
-
-void SegmentState::StartDenseCountsRound() {
-  // k int64 entries per peer, uniform (the self block is a local copy of
-  // zeros). The transport copies these small arrays at call time. The
-  // segment limit applies here too, so even a k*8-byte counts message
-  // never exceeds the configured bound.
-  incoming_matrix.assign(static_cast<std::size_t>(p) * k, 0);
-  std::vector<int> ccounts(static_cast<std::size_t>(p),
-                           static_cast<int>(k));
-  std::vector<int> cdispls(static_cast<std::size_t>(p));
-  for (int i = 0; i < p; ++i) {
-    cdispls[static_cast<std::size_t>(i)] = i * static_cast<int>(k);
-  }
-  pending = tr->Ialltoallv(counts_matrix.data(), ccounts, cdispls,
-                           Datatype::kInt64, incoming_matrix.data(), ccounts,
-                           cdispls, tag, segment_bytes);
-}
-
-void SegmentState::FinishDense() {
-  // Split the per-source staging blocks into the per-segment sinks.
-  for (int s = 0; s < p; ++s) {
-    const double* cursor =
-        staging.data() + static_cast<std::size_t>(
-                             rdispls[static_cast<std::size_t>(s)]);
-    for (std::size_t j = 0; j < k; ++j) {
-      const std::int64_t n =
-          incoming_matrix[static_cast<std::size_t>(s) * k + j];
-      if (n != 0) {
-        segments[j].sink->insert(segments[j].sink->end(), cursor, cursor + n);
-        remaining[j] -= n;
-      }
-      cursor += n;
-    }
-  }
-  for (std::size_t j = 0; j < k; ++j) {
-    if (remaining[j] != 0) {
-      throw mpisim::Error(
-          "jsort::exchange: received element count disagrees with the "
-          "layout overlap");
-    }
-  }
-}
-
-void SegmentState::UnpackMessage(const std::byte* msg, std::size_t size) {
-  // [int64 seg_counts[k]][segment payloads in order].
+/// Appends the message at the front of [msg, msg + size) -- [int64
+/// seg_counts[k]][segment payloads in order] -- to the sinks and returns
+/// its length, so a concatenation of messages unpacks front to back.
+std::size_t SegmentState::UnpackMessage(const std::byte* msg,
+                                        std::size_t size) {
   if (size < k * sizeof(std::int64_t)) {
     throw mpisim::Error("jsort::exchange: malformed exchange message");
   }
@@ -280,6 +143,7 @@ void SegmentState::UnpackMessage(const std::byte* msg, std::size_t size) {
           "overlap");
     }
   }
+  return off;
 }
 
 bool SegmentState::DrainCoalesced() {
@@ -683,20 +547,26 @@ Poll StartSegmentExchange(const std::shared_ptr<Transport>& tr,
         "jsort::exchange: segment exchange tags must lie in [0, "
         "kChunkTagBase) (the coalesced chunk-tag band starts there)");
   }
+  if (mode == Mode::kAlltoallv || mode == Mode::kSparse) {
+    throw mpisim::UsageError(
+        "jsort::exchange: segment exchanges deliver coalesced or "
+        "hierarchically; kAlltoallv and kSparse are bucket and group-wise "
+        "modes");
+  }
+  const int p = tr->Size();
+  const int me = tr->Rank();
   auto st = std::make_shared<SegmentState>();
   st->tr = tr;
-  st->p = tr->Size();
-  st->me = tr->Rank();
   st->k = segments.size();
   st->tag = tag;
-  st->segment_bytes = segment_bytes;
   st->segments = std::move(segments);
   st->remaining.reserve(st->k);
-  st->counts_matrix.assign(static_cast<std::size_t>(st->p) * st->k, 0);
+  const std::size_t k = st->k;
+  std::vector<std::int64_t> counts_matrix(static_cast<std::size_t>(p) * k, 0);
 
   // Interval computation -> per-destination chunks. Self chunks bypass the
   // transport and land in their sinks right away.
-  for (std::size_t j = 0; j < st->k; ++j) {
+  for (std::size_t j = 0; j < k; ++j) {
     Segment& seg = st->segments[j];
     if (seg.sink == nullptr) {
       throw mpisim::UsageError("jsort::exchange: segment without sink");
@@ -706,232 +576,116 @@ Poll StartSegmentExchange(const std::shared_ptr<Transport>& tr,
     std::int64_t cursor = 0;
     for (const Chunk& c :
          AssignChunks(layout, seg.slot_begin, seg.slot_begin + seg.count)) {
-      if (c.target == st->me) {
+      if (c.target == me) {
         seg.sink->insert(seg.sink->end(), seg.data + cursor,
                          seg.data + cursor + c.count);
         st->remaining[j] -= c.count;
       } else {
-        st->counts_matrix[static_cast<std::size_t>(c.target) * st->k + j] +=
-            c.count;
+        counts_matrix[static_cast<std::size_t>(c.target) * k + j] += c.count;
       }
       cursor += c.count;
     }
   }
 
-  const Mode resolved = mode == Mode::kAuto && AutoHier(*tr)
-                            ? Mode::kHierarchical
-                            : Resolve(mode, st->p, st->k);
-  st->coalesced = resolved == Mode::kCoalesced;
-  st->sparse = resolved == Mode::kSparse;
-  const bool hier = resolved == Mode::kHierarchical;
-  const std::size_t header = st->k * sizeof(std::int64_t);
+  const bool hier =
+      mode == Mode::kHierarchical || (mode == Mode::kAuto && AutoHier(*tr));
+  const std::size_t header = k * sizeof(std::int64_t);
   st->chunk = CoalescedChunkBytes(header, segment_bytes);
 
-  // Per-destination totals (and traffic accounting) are mode-independent.
+  // One self-describing message per non-empty destination:
+  // [int64 seg_counts[k]][segment payloads in order]. Built in a single
+  // chunk walk per segment with per-destination write cursors (segments
+  // are visited in order, so each message's payload is segment-ordered).
+  std::vector<std::vector<std::byte>> msgs(static_cast<std::size_t>(p));
+  std::vector<std::size_t> wcursor(static_cast<std::size_t>(p), header);
   std::int64_t nonempty = 0, elements = 0;
-  st->sendcounts.assign(static_cast<std::size_t>(st->p), 0);
-  st->sdispls.assign(static_cast<std::size_t>(st->p), 0);
-  std::int64_t off = 0;
-  for (int d = 0; d < st->p; ++d) {
+  for (int d = 0; d < p; ++d) {
+    const auto di = static_cast<std::size_t>(d);
     std::int64_t to_d = 0;
-    for (std::size_t j = 0; j < st->k; ++j) {
-      to_d += st->counts_matrix[static_cast<std::size_t>(d) * st->k + j];
-    }
-    st->sendcounts[static_cast<std::size_t>(d)] = static_cast<int>(to_d);
-    st->sdispls[static_cast<std::size_t>(d)] = static_cast<int>(off);
-    off += to_d;
-    if (to_d != 0) {
-      ++nonempty;
-      elements += to_d;
+    for (std::size_t j = 0; j < k; ++j) to_d += counts_matrix[di * k + j];
+    if (to_d == 0) continue;
+    ++nonempty;
+    elements += to_d;
+    msgs[di].resize(header + static_cast<std::size_t>(to_d) * sizeof(double));
+    std::memcpy(msgs[di].data(), counts_matrix.data() + di * k, header);
+    // The hierarchical path reports its wire traffic per phase after the
+    // run (AddHierStats) instead.
+    if (stats != nullptr && !hier) {
+      stats->segments += CoalescedChunksOf(msgs[di].size(), st->chunk);
     }
   }
   if (stats != nullptr) {
-    stats->messages_sent += st->coalesced || st->sparse || hier
-                                ? nonempty
-                                : static_cast<std::int64_t>(st->p - 1);
+    stats->messages_sent += nonempty;
     stats->elements_sent += elements;
-    // Wire-level accounting mirrors each path's segmentation arithmetic:
-    // the dense path pipelines every per-peer block (zero-count blocks
-    // still cost one empty message), the sparse and coalesced paths chunk
-    // each self-describing message ([k int64s][payload]). The hierarchical
-    // path reports its wire traffic per phase after the run (AddHierStats)
-    // instead.
-    for (int d = 0; d < st->p && !hier; ++d) {
-      if (d == st->me) continue;
-      const std::int64_t to_d = st->sendcounts[static_cast<std::size_t>(d)];
-      const std::size_t bytes =
-          header + static_cast<std::size_t>(to_d) * sizeof(double);
-      if (st->sparse) {
-        if (to_d != 0) {
-          stats->segments += mpisim::SparseChunksOf(
-              static_cast<std::int64_t>(bytes), segment_bytes);
-        }
-      } else if (st->coalesced) {
-        if (to_d != 0) stats->segments += CoalescedChunksOf(bytes, st->chunk);
-      } else {
-        stats->segments += mpisim::AlltoallvSegmentsOf(
-            to_d, sizeof(double), segment_bytes);
+  }
+  for (std::size_t j = 0; j < k; ++j) {
+    const Segment& seg = st->segments[j];
+    if (seg.count == 0) continue;
+    std::int64_t read = 0;
+    for (const Chunk& c :
+         AssignChunks(layout, seg.slot_begin, seg.slot_begin + seg.count)) {
+      if (c.target != me) {
+        const auto di = static_cast<std::size_t>(c.target);
+        std::memcpy(msgs[di].data() + wcursor[di], seg.data + read,
+                    static_cast<std::size_t>(c.count) * sizeof(double));
+        wcursor[di] += static_cast<std::size_t>(c.count) * sizeof(double);
       }
+      read += c.count;
     }
   }
 
-  if (st->coalesced || st->sparse || hier) {
-    // One self-describing message per non-empty destination:
-    // [int64 seg_counts[k]][segment payloads in order]. Built in a single
-    // chunk walk per segment with per-destination write cursors (segments
-    // are visited in order, so each message's payload is segment-ordered).
-    // The coalesced path ships them as eager sends and the Poll drains
-    // this rank's own expectations; the sparse path hands them to the
-    // transport's barrier-terminated sparse collective instead.
-    std::vector<std::vector<std::byte>> msgs(
-        static_cast<std::size_t>(st->p));
-    std::vector<std::size_t> wcursor(static_cast<std::size_t>(st->p),
-                                     header);
-    for (int d = 0; d < st->p; ++d) {
-      if (st->sendcounts[static_cast<std::size_t>(d)] == 0) continue;
-      msgs[static_cast<std::size_t>(d)].resize(
-          header + static_cast<std::size_t>(
-                       st->sendcounts[static_cast<std::size_t>(d)]) *
-                       sizeof(double));
-      std::memcpy(msgs[static_cast<std::size_t>(d)].data(),
-                  st->counts_matrix.data() +
-                      static_cast<std::size_t>(d) * st->k,
-                  header);
+  if (hier) {
+    // Node-aware delivery of the same self-describing messages: the
+    // engine merges them per node and per destination on the wire, and
+    // hands back the concatenation of the messages addressed to this
+    // rank in source-rank order. Each message's extent follows from its
+    // own counts header ([k int64s] + payload), so the merged blob
+    // unpacks front to back without any extra framing. Blocking at
+    // start: the three sparse phases complete before this returns with an
+    // already-done Poll (the engine is a collective, so every group
+    // member reaches this same call; a janus rank simply finishes one
+    // group's exchange before starting the other's -- the waits-for
+    // chain over adjacent groups is acyclic and cannot deadlock).
+    std::vector<topo::BytePiece> pieces;
+    for (int d = 0; d < p; ++d) {
+      const auto& msg = msgs[static_cast<std::size_t>(d)];
+      if (msg.empty()) continue;
+      pieces.push_back(topo::BytePiece{
+          d, msg.data(), static_cast<std::int64_t>(msg.size())});
     }
-    for (std::size_t j = 0; j < st->k; ++j) {
-      const Segment& seg = st->segments[j];
-      if (seg.count == 0) continue;
-      std::int64_t read = 0;
-      for (const Chunk& c :
-           AssignChunks(layout, seg.slot_begin, seg.slot_begin + seg.count)) {
-        if (c.target != st->me) {
-          const auto di = static_cast<std::size_t>(c.target);
-          std::memcpy(msgs[di].data() + wcursor[di], seg.data + read,
-                      static_cast<std::size_t>(c.count) * sizeof(double));
-          wcursor[di] += static_cast<std::size_t>(c.count) * sizeof(double);
-        }
-        read += c.count;
+    topo::HierLevelStats hs;
+    const std::vector<std::byte> bytes =
+        RunHier(*tr, pieces, tag, segment_bytes, &hs);
+    AddHierStats(stats, hs);
+    for (std::size_t off = 0; off < bytes.size();) {
+      off += st->UnpackMessage(bytes.data() + off, bytes.size() - off);
+    }
+    for (std::size_t j = 0; j < k; ++j) {
+      if (st->remaining[j] != 0) {
+        throw mpisim::Error(
+            "jsort::exchange: hierarchical exchange delivered a "
+            "different element count than the layout overlap");
       }
     }
-    if (hier) {
-      // Node-aware delivery of the same self-describing messages: the
-      // engine merges them per node and per destination on the wire, and
-      // hands back the concatenation of the messages addressed to this
-      // rank in source-rank order. Each message's extent is recomputed
-      // from its own counts header ([k int64s] + payload), so the merged
-      // blob splits without any extra framing. Blocking at start: the
-      // three sparse phases complete before this returns with an
-      // already-done Poll (the engine is a collective, so every group
-      // member reaches this same call; a janus rank simply finishes one
-      // group's exchange before starting the other's -- the waits-for
-      // chain over adjacent groups is acyclic and cannot deadlock).
-      std::vector<topo::BytePiece> pieces;
-      for (int d = 0; d < st->p; ++d) {
-        const auto& msg = msgs[static_cast<std::size_t>(d)];
-        if (msg.empty()) continue;
-        pieces.push_back(topo::BytePiece{
-            d, msg.data(), static_cast<std::int64_t>(msg.size())});
-      }
-      topo::HierLevelStats hs;
-      const std::vector<std::byte> bytes =
-          RunHier(*st->tr, pieces, tag, segment_bytes, &hs);
-      AddHierStats(stats, hs);
-      std::size_t off2 = 0;
-      while (off2 < bytes.size()) {
-        if (bytes.size() - off2 < header) {
-          throw mpisim::Error(
-              "jsort::exchange: malformed hierarchical exchange blob");
-        }
-        std::int64_t in_msg = 0;
-        for (std::size_t j = 0; j < st->k; ++j) {
-          std::int64_t n = 0;
-          std::memcpy(&n, bytes.data() + off2 + j * sizeof(std::int64_t),
-                      sizeof n);
-          if (n < 0 || static_cast<std::uint64_t>(n) >
-                           (bytes.size() - off2 - header) / sizeof(double)) {
-            throw mpisim::Error(
-                "jsort::exchange: malformed hierarchical exchange blob");
-          }
-          in_msg += n;
-        }
-        const std::size_t len =
-            header + static_cast<std::size_t>(in_msg) * sizeof(double);
-        if (len > bytes.size() - off2) {
-          throw mpisim::Error(
-              "jsort::exchange: malformed hierarchical exchange blob");
-        }
-        st->UnpackMessage(bytes.data() + off2, len);
-        off2 += len;
-      }
-      for (std::size_t j = 0; j < st->k; ++j) {
-        if (st->remaining[j] != 0) {
-          throw mpisim::Error(
-              "jsort::exchange: hierarchical exchange delivered a "
-              "different element count than the layout overlap");
-        }
-      }
-      st->done = true;
-      return [] { return true; };
-    }
-    if (st->sparse) {
-      std::vector<SparseBlock> blocks;
-      blocks.reserve(static_cast<std::size_t>(nonempty));
-      for (int d = 0; d < st->p; ++d) {
-        const auto& msg = msgs[static_cast<std::size_t>(d)];
-        if (msg.empty()) continue;
-        blocks.push_back(SparseBlock{d, msg.data(),
-                                     static_cast<int>(msg.size())});
-      }
-      // The collective copies the blocks out eagerly, so `msgs` may die
-      // with this scope.
-      st->pending = st->tr->IsparseAlltoallv(blocks, Datatype::kByte,
-                                             &st->deliveries, tag,
-                                             segment_bytes);
-    } else {
-      // Pieces of at most st->chunk bytes: the trailing ones on the chunk
-      // tag first, then the head (counts header included) on `tag` --
-      // eager deposit in program order means a receiver that probes the
-      // head finds every trailing chunk already queued (DrainCoalesced).
-      for (int d = 0; d < st->p; ++d) {
-        const auto& msg = msgs[static_cast<std::size_t>(d)];
-        if (msg.empty()) continue;
-        const std::size_t head = CoalescedHeadBytes(msg.size(), st->chunk);
-        for (std::size_t at = head; at < msg.size(); at += st->chunk) {
-          st->tr->Send(msg.data() + at,
-                       static_cast<int>(std::min(st->chunk, msg.size() - at)),
-                       Datatype::kByte, d, ChunkTag(tag));
-        }
-        st->tr->Send(msg.data(), static_cast<int>(head), Datatype::kByte, d,
-                     tag);
-      }
-    }
-    return [st] { return st->Step(); };
+    return [] { return true; };
   }
 
-  // Dense path: flatten the payload grouped by destination, then run the
-  // counts round followed by the payload Alltoallv.
-  st->payload.resize(static_cast<std::size_t>(off));
-  {
-    std::vector<std::int64_t> cursor(st->sdispls.begin(), st->sdispls.end());
-    for (std::size_t j = 0; j < st->k; ++j) {
-      const Segment& seg = st->segments[j];
-      if (seg.count == 0) continue;
-      std::int64_t read = 0;
-      for (const Chunk& c :
-           AssignChunks(layout, seg.slot_begin, seg.slot_begin + seg.count)) {
-        if (c.target != st->me) {
-          std::memcpy(st->payload.data() +
-                          cursor[static_cast<std::size_t>(c.target)],
-                      seg.data + read,
-                      static_cast<std::size_t>(c.count) * sizeof(double));
-          cursor[static_cast<std::size_t>(c.target)] += c.count;
-        }
-        read += c.count;
-      }
+  // Pieces of at most st->chunk bytes: the trailing ones on the chunk tag
+  // first, then the head (counts header included) on `tag` -- eager
+  // deposit in program order means a receiver that probes the head finds
+  // every trailing chunk already queued (DrainCoalesced).
+  for (int d = 0; d < p; ++d) {
+    const auto& msg = msgs[static_cast<std::size_t>(d)];
+    if (msg.empty()) continue;
+    const std::size_t head = CoalescedHeadBytes(msg.size(), st->chunk);
+    for (std::size_t at = head; at < msg.size(); at += st->chunk) {
+      tr->Send(msg.data() + at,
+               static_cast<int>(std::min(st->chunk, msg.size() - at)),
+               Datatype::kByte, d, ChunkTag(tag));
     }
+    tr->Send(msg.data(), static_cast<int>(head), Datatype::kByte, d, tag);
   }
-  st->StartDenseCountsRound();
-  return [st] { return st->Step(); };
+  return [st] { return st->DrainCoalesced(); };
 }
 
 }  // namespace exchange

@@ -8,44 +8,37 @@
 // jsort::Transport abstraction, so the same code runs on RBC, native-MPI
 // and Icomm backends.
 //
-// Three delivery paths are provided:
-//  * the dense Alltoallv path -- a counts exchange followed by a payload
-//    Transport::Ialltoallv. Predictable p-1 message rounds, right when
-//    most destinations receive something (single-level sample sort);
-//  * the coalesced path for skewed partitions -- when each rank sends to
-//    only a few destinations (jquick's greedy chunk assignment spans O(1)
-//    ranks per level), the dense counts exchange would dominate. Instead,
-//    all segments destined to one rank form a single self-describing
-//    message ([int64 counts[k]][payload]), and receivers drain
-//    membership-filtered probes until their precomputed expectations are
-//    met. Under a segment limit the message ships as byte pieces of at
+// Two kinds of exchange, with their own delivery paths:
+//  * segment exchanges (StartSegmentExchange) -- the receive expectations
+//    follow from the layout arithmetic, and jquick's greedy chunk
+//    assignment sends each rank's runs to only a few neighbouring ranks.
+//    The coalesced path ships all segments destined to one rank as a
+//    single self-describing message ([int64 counts[k]][payload]), and
+//    receivers drain membership-filtered probes until their expectations
+//    are met. Under a segment limit the message ships as byte pieces of at
 //    most segment_bytes: trailing pieces on a derived chunk tag
 //    (kChunkTagBase + tag), injected before the head piece, which carries
 //    the counts header; a receiver that probes the head sizes every
 //    trailing piece from the header and pulls them with specific-source
 //    receives. One startup per wire chunk of a non-empty destination,
-//    zero metadata rounds, no termination messages;
-//  * the sparse path -- the same self-describing one-message-per-non-empty-
-//    destination shipping, but delivered over the transport's sparse
-//    collective (Transport::IsparseAlltoallv), whose two-lightweight-
-//    barrier termination detection replaces the coalesced path's
-//    expectation-driven drain. One startup per non-empty destination plus
-//    O(log p) barrier tokens; the only sparse option when receive counts
-//    are unknown (ExchangeGroupwise).
+//    zero metadata rounds, no termination messages. On a two-level cost
+//    model whose group spans nodes, the same messages travel the
+//    node-aware hierarchical engine instead (topo/hier_exchange.hpp);
+//  * bucket and group-wise exchanges (ExchangeBuckets, ExchangeGroupwise)
+//    -- the dense Alltoallv path (a counts exchange followed by a payload
+//    Transport::Ialltoallv: predictable p-1 message rounds, right when
+//    most destinations receive something), the sparse path (one message
+//    per non-empty destination over the transport's sparse collective,
+//    Transport::IsparseAlltoallv, whose two-lightweight-barrier
+//    termination needs no receive counts -- the only option when they are
+//    unknown) and the hierarchical engine.
 //
-// kAuto resolves among the three from globally shared quantities only (the
-// decision must be identical on every rank): the non-empty-destination
-// fraction, estimated as f = min(4k, p-1) / (p-1) for a segment exchange
-// (a segment of an interval redistribution spans at most ~4 ranks, so k
-// segments reach at most 4k peers) and as out.size() / (p-1) for a
-// group-wise exchange. f >= 1/2 picks the dense path (most peers are hit
-// anyway, and the pairwise Alltoallv schedule avoids contention). Below
-// that the exchange is skewed and a sparse-style path wins; which one
-// depends on whether receive expectations exist: segment exchanges know
-// them from the layout arithmetic, so they take the coalesced path (its
-// expectation-driven termination adds zero messages, at any segment
-// limit), while group-wise exchanges cannot know their receive counts and
-// take the sparse path (barrier-based termination, O(log p) tokens).
+// kAuto resolves from globally shared quantities only (the decision must
+// be identical on every rank): the cost model and the group's node span
+// pick the hierarchical path; otherwise a segment exchange is coalesced,
+// a bucket exchange dense, and a group-wise exchange dense when its
+// estimated non-empty-destination fraction out.size() / (p-1) reaches 1/2
+// and sparse below it.
 #pragma once
 
 #include <cstdint>
@@ -110,12 +103,15 @@ struct ExchangeStats {
 
 /// Delivery path selection.
 enum class Mode {
-  kAlltoallv,  // dense: counts exchange + Transport::Ialltoallv
+  kAlltoallv,  // dense: counts exchange + Transport::Ialltoallv (bucket
+               // and group-wise exchanges)
   kCoalesced,  // skewed: one self-describing message per destination,
                // chunked under a segment limit, expectation-terminated
-               // probe drain (segment exchanges only)
+               // probe drain (segment exchanges; group-wise exchanges
+               // degrade it to kSparse)
   kSparse,     // skewed: one message per destination over the transport's
-               // sparse collective (barrier-terminated, no expectations)
+               // sparse collective (barrier-terminated, no expectations;
+               // group-wise exchanges)
   kHierarchical,  // node-aware: per-destination traffic coalesces on each
                   // node at one agent per destination node, crosses the
                   // network once agent-to-agent (the bundles spread over
@@ -128,10 +124,8 @@ enum class Mode {
   kAuto,       // On a two-level cost model (CostModel::Hierarchical())
                // with more than one node in the group: kHierarchical --
                // matching the exchange structure to the machine beats
-               // every flat path on inter-node traffic. Otherwise:
-               // dense, or -- below the estimated non-empty-destination
-               // fraction of 1/2 -- coalesced for segment exchanges and
-               // sparse for group-wise ones (see the header comment).
+               // every flat path on inter-node traffic. Otherwise the
+               // flat path of the exchange kind (see the header comment).
                // The segment limit never changes the choice: every path
                // bounds its own wire messages
 };
@@ -223,30 +217,29 @@ struct Segment {
 
 /// Starts a nonblocking redistribution of `segments` onto `layout` over
 /// the transport. All segments coalesce into one exchange regardless of
-/// how many there are: the dense path runs one counts round plus one
-/// payload Alltoallv; the coalesced path ships one combined message per
-/// non-empty destination. Self-destined elements bypass the transport.
+/// how many there are: one combined message per non-empty destination.
+/// Self-destined elements bypass the transport.
 ///
 /// The segment data is copied out before this returns, so callers may
 /// free their buffers immediately; sinks must stay alive (and must not be
 /// resized by the caller) until the returned Poll reports completion.
 /// `stats`, if non-null, is incremented synchronously at start time.
 ///
-/// `segment_bytes` > 0 enables the large-message regime: the dense path
-/// pipelines its Alltoallv blocks, the sparse path chunks its payloads,
-/// and the coalesced path ships each per-destination message as pieces of
-/// at most max(segment_bytes, 8k) bytes (trailing pieces first, on tag
+/// `segment_bytes` > 0 enables the large-message regime: each
+/// per-destination message ships as pieces of at most
+/// max(segment_bytes, 8k) bytes (trailing pieces first, on tag
 /// kChunkTagBase + tag). kAuto ignores the limit.
 ///
-/// `tag` must lie in [0, kChunkTagBase) on every path (UsageError
-/// otherwise), so the chunk tags of simultaneous exchanges never collide
-/// with exchange tags.
+/// `mode` is kCoalesced, kHierarchical or kAuto (kHierarchical when the
+/// cost model is two-level and the group spans nodes, else kCoalesced);
+/// kAlltoallv and kSparse raise UsageError. `tag` must lie in
+/// [0, kChunkTagBase) (UsageError otherwise), so the chunk tags of
+/// simultaneous exchanges never collide with exchange tags.
 ///
-/// The hierarchical path (kHierarchical, or kAuto on a two-level cost
-/// model when the group spans nodes) completes the whole exchange before
-/// returning (an already-done Poll): its three node-aware phases are
-/// collective sparse calls. Safe -- every group member reaches this call
-/// -- but a janus rank serializes its two groups' exchanges instead of
+/// The hierarchical path completes the whole exchange before returning
+/// (an already-done Poll): its three node-aware phases are collective
+/// sparse calls. Safe -- every group member reaches this call -- but a
+/// janus rank serializes its two groups' exchanges instead of
 /// interleaving them.
 Poll StartSegmentExchange(const std::shared_ptr<Transport>& tr,
                           const CapacityLayout& layout,

@@ -302,7 +302,7 @@ class Driver {
     t.poll = exchange::StartSegmentExchange(t.tr, t.layout,
                                             std::move(segments),
                                             t.ExchangeTag(),
-                                            cfg_.exchange_mode, &es,
+                                            exchange::Mode::kAuto, &es,
                                             cfg_.segment_bytes);
     if (stats_ != nullptr) {
       stats_->messages_sent += es.messages_sent;

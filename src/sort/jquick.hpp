@@ -38,15 +38,12 @@ struct JQuickConfig {
   PivotPolicy pivot = PivotPolicy::kMedianOfSamples;
   SampleParams samples{};
   SplitSchedule schedule = SplitSchedule::kAlternating;
-  /// Delivery path of the per-level data exchange (jsort::exchange).
-  /// kAuto coalesces the (small, large) sides into one sparse message per
-  /// destination on large groups and falls back to the dense Alltoallv on
-  /// small ones.
-  exchange::Mode exchange_mode = exchange::Mode::kAuto;
   /// Large-message segment limit of the per-level exchange (bytes; 0 =
-  /// unsegmented). Past it, payload messages are pipelined/chunked and
-  /// kAuto prefers the chunk-capable sparse path over coalesced. Defaults
-  /// to the measured crossover (see exchange::kDefaultSegmentBytes).
+  /// unsegmented). The per-level exchange coalesces the (small, large)
+  /// sides into one message per destination (or routes them through the
+  /// hierarchical engine on a two-level machine); past the limit each
+  /// message ships as chunks of at most this many bytes. Defaults to the
+  /// measured crossover (see exchange::kDefaultSegmentBytes).
   std::int64_t segment_bytes = exchange::kDefaultSegmentBytes;
   std::uint64_t seed = 1;
 };

@@ -1,13 +1,14 @@
 // Property-test harness for every exchange path: randomized counts,
 // displacements and skew sweeps asserting byte-exact equivalence of the
-// dense, coalesced, sparse and segmented (large-message) delivery paths
-// across all three Transport backends and segment sizes {one element,
-// prime, larger than any payload}. Also pins down the large-message
-// contract itself: single wire messages stay bounded by segment_bytes on
-// every path, ExchangeStats.segments reconciles with the substrate's
-// measured message counters, Mode::kAuto stays on the barrier-free
-// coalesced path at any segment limit, and a janus rank's two same-tag
-// chunked exchanges stay apart.
+// delivery paths of each exchange kind -- coalesced, hierarchical and
+// kAuto for segment exchanges, dense, sparse and kAuto for group-wise
+// ones -- segmented (large-message) or not, across all three Transport
+// backends and segment sizes {one element, prime, larger than any
+// payload}. Also pins down the large-message contract itself: single wire
+// messages stay bounded by segment_bytes, ExchangeStats.segments
+// reconciles with the substrate's measured message counters, Mode::kAuto
+// stays on the barrier-free coalesced path at any group size and segment
+// limit, and a janus rank's two same-tag chunked exchanges stay apart.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include <cstring>
 #include <random>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sort/exchange.hpp"
@@ -134,14 +136,12 @@ void RandomizedSegmentExchange(const std::shared_ptr<Transport>& tr,
     return sinks;
   };
 
-  ExchangeStats dense_stats;
-  const auto dense = run_once(Mode::kAlltoallv, 31, &dense_stats);
-  const auto coalesced = run_once(Mode::kCoalesced, 32, nullptr);
-  const auto sparse = run_once(Mode::kSparse, 33, nullptr);
+  ExchangeStats coalesced_stats;
+  const auto coalesced = run_once(Mode::kCoalesced, 32, &coalesced_stats);
+  const auto hier = run_once(Mode::kHierarchical, 33, nullptr);
   const auto aut = run_once(Mode::kAuto, 34, nullptr);
-  EXPECT_EQ(dense, coalesced);
-  EXPECT_EQ(dense, sparse);
-  EXPECT_EQ(dense, aut);
+  EXPECT_EQ(coalesced, hier);
+  EXPECT_EQ(coalesced, aut);
   const std::int64_t my_begin = layout.PrefixBefore(me);
   const std::int64_t my_end = my_begin + layout.CapOf(me);
   for (int rg = 0; rg < kRegions; ++rg) {
@@ -153,13 +153,13 @@ void RandomizedSegmentExchange(const std::shared_ptr<Transport>& tr,
          ++s) {
       expect.push_back(static_cast<double>(s));
     }
-    EXPECT_EQ(dense[static_cast<std::size_t>(rg)], expect)
+    EXPECT_EQ(coalesced[static_cast<std::size_t>(rg)], expect)
         << "region " << rg << " seg_bytes " << seg_bytes;
   }
   // Segmentation only ever adds wire messages; unsegmented they coincide.
-  EXPECT_GE(dense_stats.segments, dense_stats.messages_sent);
+  EXPECT_GE(coalesced_stats.segments, coalesced_stats.messages_sent);
   if (seg_bytes == 0 || seg_bytes >= kSegHuge) {
-    EXPECT_EQ(dense_stats.segments, dense_stats.messages_sent);
+    EXPECT_EQ(coalesced_stats.segments, coalesced_stats.messages_sent);
   }
 }
 
@@ -418,8 +418,6 @@ ExchangeStats RotationOnce(const std::shared_ptr<Transport>& tr,
 /// measured send delta equals stats.segments exactly, so there are no
 /// barrier tokens and no counts round.
 TEST(ExchangeAutoThreshold, StaysCoalescedAcrossSegmentBytes) {
-  // p must clear the dense threshold (2 * 4k < p-1 with k = 1 segment) so
-  // kAuto reaches the skewed paths.
   constexpr int kP = 12;
   constexpr std::int64_t kCap = 16;
   constexpr std::int64_t kBound = 8 + kCap * 8;  // header + payload bytes
@@ -448,57 +446,36 @@ TEST(ExchangeAutoThreshold, StaysCoalescedAcrossSegmentBytes) {
 }
 
 /// ExchangeStats.segments must reconcile with the substrate's measured
-/// message counters on both segmented paths: per rank for the dense path
-/// (p-1 counts messages + segments payload messages), globally for the
-/// sparse path (sum of segments + the 4(p-1) tree edges of the two
-/// termination barriers).
+/// message counters on a small group too, where kAuto once chose a dense
+/// counts round: forced coalesced or kAuto, every rank's measured send
+/// delta is exactly its payload chunks (ceil(bytes / segment_bytes) for
+/// the one [8-byte header][payload] message), and nothing else crosses
+/// the wire.
 TEST(ExchangeAutoThreshold, SegmentsConsistentWithMeasuredMessages) {
   constexpr int kP = 6;
   constexpr std::int64_t kCap = 32;
-  constexpr std::int64_t kSeg = 64;  // 8 elements per dense segment
+  constexpr std::int64_t kSeg = 64;
+  constexpr std::int64_t kChunks = (8 + kCap * 8 + kSeg - 1) / kSeg;
   RunRanks(kP, [&](mpisim::Comm& world) {
     rbc::Comm rw;
     rbc::Create_RBC_Comm(world, &rw);
     auto tr = jsort::MakeRbcTransport(rw);
     const CapacityLayout layout = UniformLayout(kP, kCap);
-
-    mpisim::Barrier(world);
-    const std::uint64_t before_dense = mpisim::Ctx().stats.messages_sent;
-    const ExchangeStats dense =
-        RotationOnce(tr, layout, Mode::kAlltoallv, 53, kSeg);
-    const std::uint64_t sent_dense =
-        mpisim::Ctx().stats.messages_sent - before_dense;
-    EXPECT_EQ(dense.segments,
-              mpisim::AlltoallvSegmentsOf(kCap, sizeof(double), kSeg) +
-                  (kP - 2));  // one real block + p-2 empty blocks
-    EXPECT_EQ(sent_dense,
-              static_cast<std::uint64_t>(kP - 1 + dense.segments));
-
-    mpisim::Barrier(world);
-    const std::uint64_t before_sparse = mpisim::Ctx().stats.messages_sent;
-    const ExchangeStats sparse =
-        RotationOnce(tr, layout, Mode::kSparse, 54, kSeg);
-    const double local_delta = static_cast<double>(
-        mpisim::Ctx().stats.messages_sent - before_sparse);
-    double global_delta = 0.0;
-    mpisim::Allreduce(&local_delta, &global_delta, 1,
-                      mpisim::Datatype::kFloat64, mpisim::ReduceOp::kSum,
-                      world);
-    const double local_segments = static_cast<double>(sparse.segments);
-    double global_segments = 0.0;
-    mpisim::Allreduce(&local_segments, &global_segments, 1,
-                      mpisim::Datatype::kFloat64, mpisim::ReduceOp::kSum,
-                      world);
-    // Two binomial-tree barriers (reduce + bcast chains) cost 4(p-1)
-    // messages in total.
-    EXPECT_EQ(static_cast<std::int64_t>(global_delta),
-              static_cast<std::int64_t>(global_segments) + 4 * (kP - 1));
-    EXPECT_EQ(sparse.segments, mpisim::SparseChunksOf(8 + kCap * 8, kSeg));
+    for (const auto& [mode, tag] :
+         {std::pair{Mode::kCoalesced, 53}, std::pair{Mode::kAuto, 54}}) {
+      mpisim::Barrier(world);
+      const std::uint64_t before = mpisim::Ctx().stats.messages_sent;
+      const ExchangeStats st = RotationOnce(tr, layout, mode, tag, kSeg);
+      const std::uint64_t sent = mpisim::Ctx().stats.messages_sent - before;
+      EXPECT_EQ(st.segments, kChunks) << "mode " << static_cast<int>(mode);
+      EXPECT_EQ(sent, static_cast<std::uint64_t>(st.segments))
+          << "mode " << static_cast<int>(mode);
+    }
   });
 }
 
 /// The whole point of the large-message regime: on a skewed workload no
-/// single wire message of any flat path exceeds segment_bytes.
+/// single wire message of either segment path exceeds segment_bytes.
 TEST(ExchangeSegmentBound, MaxMessageBoundedBySegmentBytes) {
   constexpr int kP = 6;
   constexpr std::int64_t kCap = 512;  // 4 KiB payload per destination
@@ -509,23 +486,15 @@ TEST(ExchangeSegmentBound, MaxMessageBoundedBySegmentBytes) {
     auto tr = jsort::MakeRbcTransport(rw);
     const CapacityLayout layout = UniformLayout(kP, kCap);
 
-    mpisim::Barrier(world);
-    mpisim::Ctx().stats.max_message_bytes = 0;
-    RotationOnce(tr, layout, Mode::kSparse, 55, kSeg);
-    EXPECT_LE(mpisim::Ctx().stats.max_message_bytes,
-              static_cast<std::uint64_t>(kSeg));
-
-    mpisim::Barrier(world);
-    mpisim::Ctx().stats.max_message_bytes = 0;
-    RotationOnce(tr, layout, Mode::kAlltoallv, 56, kSeg);
-    EXPECT_LE(mpisim::Ctx().stats.max_message_bytes,
-              static_cast<std::uint64_t>(kSeg));
-
-    mpisim::Barrier(world);
-    mpisim::Ctx().stats.max_message_bytes = 0;
-    RotationOnce(tr, layout, Mode::kCoalesced, 57, kSeg);
-    EXPECT_LE(mpisim::Ctx().stats.max_message_bytes,
-              static_cast<std::uint64_t>(kSeg));
+    for (const auto& [mode, tag] : {std::pair{Mode::kCoalesced, 57},
+                                    std::pair{Mode::kHierarchical, 58}}) {
+      mpisim::Barrier(world);
+      mpisim::Ctx().stats.max_message_bytes = 0;
+      RotationOnce(tr, layout, mode, tag, kSeg);
+      EXPECT_LE(mpisim::Ctx().stats.max_message_bytes,
+                static_cast<std::uint64_t>(kSeg))
+          << "mode " << static_cast<int>(mode);
+    }
   });
 }
 

@@ -1,6 +1,7 @@
 // The jsort::exchange redistribution layer: exscan interval computation,
-// bucket exchange, and the coalesced / dense segment exchange, across all
-// three Transport backends, with skewed partitions and empty ranks.
+// bucket exchange, and the segment exchange (coalesced, and kAuto, which
+// is coalesced on a flat machine), across all three Transport backends,
+// with skewed partitions and empty ranks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,8 +11,6 @@
 #include <vector>
 
 #include "sort/exchange.hpp"
-#include "sort/jquick.hpp"
-#include "sort/workload.hpp"
 #include "testutil.hpp"
 
 namespace {
@@ -146,11 +145,7 @@ void RotationExchange(const std::shared_ptr<Transport>& tr, Mode mode) {
   EXPECT_EQ(sink, expect);
   if (p > 1) {
     EXPECT_EQ(stats.elements_sent, kCap);
-    if (mode == Mode::kAlltoallv) {
-      EXPECT_EQ(stats.messages_sent, p - 1);  // dense rounds
-    } else {
-      EXPECT_EQ(stats.messages_sent, 1);  // skewed: one real destination
-    }
+    EXPECT_EQ(stats.messages_sent, 1);  // skewed: one real destination
   }
 }
 
@@ -161,23 +156,16 @@ TEST_P(ExchangeSweep, SegmentExchangeCoalescedRotation) {
   });
 }
 
-TEST_P(ExchangeSweep, SegmentExchangeSparseRotation) {
+TEST_P(ExchangeSweep, SegmentExchangeAutoRotation) {
   const Backend b = GetParam();
   RunRanks(6, [&](mpisim::Comm& world) {
-    RotationExchange(Make(b, world), Mode::kSparse);
-  });
-}
-
-TEST_P(ExchangeSweep, SegmentExchangeDenseRotation) {
-  const Backend b = GetParam();
-  RunRanks(6, [&](mpisim::Comm& world) {
-    RotationExchange(Make(b, world), Mode::kAlltoallv);
+    RotationExchange(Make(b, world), Mode::kAuto);
   });
 }
 
 /// Two regions (the jquick shape): small region [0, S), large [S, total);
 /// every rank contributes an uneven share of each. Verifies per-segment
-/// sinks receive exactly their region overlap, in both modes.
+/// sinks receive exactly their region overlap.
 void TwoRegionExchange(const std::shared_ptr<Transport>& tr, Mode mode) {
   const int p = tr->Size();
   const int me = tr->Rank();
@@ -247,24 +235,11 @@ TEST_P(ExchangeSweep, TwoRegionSegmentExchangeCoalesced) {
   });
 }
 
-TEST_P(ExchangeSweep, TwoRegionSegmentExchangeDense) {
-  const Backend b = GetParam();
-  RunRanks(7, [&](mpisim::Comm& world) {
-    TwoRegionExchange(Make(b, world), Mode::kAlltoallv);
-  });
-}
-
-TEST_P(ExchangeSweep, TwoRegionSegmentExchangeSparse) {
-  const Backend b = GetParam();
-  RunRanks(7, [&](mpisim::Comm& world) {
-    TwoRegionExchange(Make(b, world), Mode::kSparse);
-  });
-}
-
 /// Randomized equivalence sweep: a globally-agreed random region split and
 /// random per-rank slot runs (uniform and skewed layouts), exchanged under
-/// every mode -- all modes must deliver exactly the same per-region
-/// elements.
+/// every segment mode -- all modes must deliver exactly the same
+/// per-region elements. On this flat machine kHierarchical runs the
+/// engine with every phase collapsed to the intra-node case.
 void RandomizedEquivalence(const std::shared_ptr<Transport>& tr,
                            std::uint64_t seed, bool skewed) {
   const int p = tr->Size();
@@ -331,13 +306,11 @@ void RandomizedEquivalence(const std::shared_ptr<Transport>& tr,
     return sinks;
   };
 
-  const auto dense = run_once(Mode::kAlltoallv, 15);
   const auto coalesced = run_once(Mode::kCoalesced, 16);
-  const auto sparse = run_once(Mode::kSparse, 17);
+  const auto hier = run_once(Mode::kHierarchical, 17);
   const auto aut = run_once(Mode::kAuto, 18);
-  EXPECT_EQ(dense, coalesced);
-  EXPECT_EQ(dense, sparse);
-  EXPECT_EQ(dense, aut);
+  EXPECT_EQ(coalesced, hier);
+  EXPECT_EQ(coalesced, aut);
   // And all of them deliver exactly my capacity slots, region by region.
   const std::int64_t my_begin = layout.PrefixBefore(me);
   const std::int64_t my_end = my_begin + layout.CapOf(me);
@@ -350,7 +323,8 @@ void RandomizedEquivalence(const std::shared_ptr<Transport>& tr,
          ++s) {
       expect.push_back(static_cast<double>(s));
     }
-    EXPECT_EQ(dense[static_cast<std::size_t>(rg)], expect) << "region " << rg;
+    EXPECT_EQ(coalesced[static_cast<std::size_t>(rg)], expect)
+        << "region " << rg;
   }
 }
 
@@ -458,67 +432,30 @@ TEST(ExchangePlan, PlanFromIntervalMatchesChunks) {
 TEST(ExchangeTags, SegmentExchangeRejectsChunkBandTags) {
   // The coalesced path's trailing chunks travel on kChunkTagBase + tag, so
   // exchange tags must stay below the band (and non-negative), whatever
-  // the mode.
+  // the mode. Segment exchanges have no dense or sparse path, so those
+  // two modes are rejected at any tag.
   RunRanks(2, [](mpisim::Comm& world) {
     rbc::Comm rw;
     rbc::Create_RBC_Comm(world, &rw);
     auto tr = jsort::MakeRbcTransport(rw);
     const CapacityLayout layout{.p = 2, .quota = 1, .cap_first = 1,
                                 .cap_last = 1};
-    for (const int tag : {-1, jsort::exchange::kChunkTagBase}) {
-      for (const Mode mode : {Mode::kCoalesced, Mode::kAlltoallv}) {
-        std::vector<double> sink;
-        std::vector<Segment> segs{Segment{nullptr, 0, 0, &sink, 0}};
-        EXPECT_THROW(jsort::exchange::StartSegmentExchange(
-                         tr, layout, std::move(segs), tag, mode),
-                     mpisim::UsageError)
-            << "tag " << tag;
+    auto expect_rejected = [&](int tag, Mode mode) {
+      std::vector<double> sink;
+      std::vector<Segment> segs{Segment{nullptr, 0, 0, &sink, 0}};
+      EXPECT_THROW(jsort::exchange::StartSegmentExchange(
+                       tr, layout, std::move(segs), tag, mode),
+                   mpisim::UsageError)
+          << "tag " << tag << " mode " << static_cast<int>(mode);
+    };
+    for (const Mode mode : {Mode::kCoalesced, Mode::kAlltoallv,
+                            Mode::kSparse}) {
+      for (const int tag : {-1, jsort::exchange::kChunkTagBase}) {
+        expect_rejected(tag, mode);
       }
+      if (mode != Mode::kCoalesced) expect_rejected(0, mode);
     }
   });
-}
-
-/// JQuick routed through each forced exchange mode still sorts correctly
-/// on every backend (the kAuto path is covered by the existing jquick
-/// tests).
-void SortWithMode(Backend b, Mode mode) {
-  constexpr int kP = 9;
-  constexpr std::int64_t kQuota = 40;
-  testutil::PerRank<std::vector<double>> outs(kP);
-  RunRanks(kP, [&](mpisim::Comm& world) {
-    auto tr = Make(b, world);
-    auto input = jsort::GenerateInput(jsort::InputKind::kUniform,
-                                      world.Rank(), kP, kQuota, 21);
-    jsort::JQuickConfig cfg;
-    cfg.exchange_mode = mode;
-    auto out = jsort::JQuickSort(tr, std::move(input), cfg);
-    outs.Set(world.Rank(), std::move(out));
-  });
-  std::vector<double> all;
-  for (int r = 0; r < kP; ++r) {
-    EXPECT_EQ(outs[r].size(), static_cast<std::size_t>(kQuota));
-    EXPECT_TRUE(std::is_sorted(outs[r].begin(), outs[r].end()));
-    if (r > 0 && !outs[r].empty() && !outs[r - 1].empty()) {
-      EXPECT_LE(outs[r - 1].back(), outs[r].front());
-    }
-    all.insert(all.end(), outs[r].begin(), outs[r].end());
-  }
-  EXPECT_TRUE(std::is_sorted(all.begin(), all.end()));
-}
-
-class JQuickModeSweep
-    : public ::testing::TestWithParam<std::tuple<Backend, Mode>> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    BackendsByMode, JQuickModeSweep,
-    ::testing::Combine(::testing::Values(Backend::kRbc, Backend::kMpi,
-                                         Backend::kIcomm),
-                       ::testing::Values(Mode::kAlltoallv, Mode::kCoalesced,
-                                         Mode::kSparse)));
-
-TEST_P(JQuickModeSweep, SortsCorrectly) {
-  const auto [b, mode] = GetParam();
-  SortWithMode(b, mode);
 }
 
 }  // namespace

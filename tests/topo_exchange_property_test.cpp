@@ -220,9 +220,9 @@ TEST_P(HierExchangeSweep, BucketsByteExactAcrossShapes) {
 
 /// Randomized slot-interval redistribution (the jquick shape) through
 /// StartSegmentExchange: the hierarchical delivery must land exactly the
-/// slots of this rank's capacity interval, region by region, like every
-/// flat mode -- including skewed layouts where some ranks receive
-/// nothing.
+/// slots of this rank's capacity interval, region by region, like the
+/// flat (coalesced) path -- including skewed layouts where some ranks
+/// receive nothing.
 void RandomizedSegmentExchangeHier(const std::shared_ptr<Transport>& tr,
                                    std::uint64_t seed,
                                    std::int64_t seg_bytes, bool skewed) {
@@ -281,11 +281,11 @@ void RandomizedSegmentExchangeHier(const std::shared_ptr<Transport>& tr,
     return sinks;
   };
 
-  const auto dense = run_once(Mode::kAlltoallv, 61);
+  const auto coalesced = run_once(Mode::kCoalesced, 61);
   const auto hier = run_once(Mode::kHierarchical, 62);
   const auto aut = run_once(Mode::kAuto, 63);
-  EXPECT_EQ(dense, hier) << "seg_bytes " << seg_bytes;
-  EXPECT_EQ(dense, aut);
+  EXPECT_EQ(coalesced, hier) << "seg_bytes " << seg_bytes;
+  EXPECT_EQ(coalesced, aut);
   const std::int64_t my_begin = layout.PrefixBefore(me);
   const std::int64_t my_end = my_begin + layout.CapOf(me);
   for (int rg = 0; rg < kRegions; ++rg) {
