@@ -1,16 +1,20 @@
 // The jsort::exchange redistribution layer: exscan interval computation,
-// bucket exchange, and the segment exchange (coalesced, and kAuto, which
-// is coalesced on a flat machine), across all three Transport backends,
-// with skewed partitions and empty ranks.
+// bucket exchange, and the segment exchange (coalesced, hierarchical, and
+// kAuto, which is coalesced on a flat machine), across all three Transport
+// backends, with skewed partitions and empty ranks; and JQuick over every
+// backend at segment limits that do and do not chunk its exchanges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
 #include <random>
+#include <tuple>
 #include <vector>
 
 #include "sort/exchange.hpp"
+#include "sort/jquick.hpp"
+#include "sort/workload.hpp"
 #include "testutil.hpp"
 
 namespace {
@@ -143,7 +147,7 @@ void RotationExchange(const std::shared_ptr<Transport>& tr, Mode mode) {
     expect[static_cast<std::size_t>(i)] = static_cast<double>(my_begin + i);
   }
   EXPECT_EQ(sink, expect);
-  if (p > 1) {
+  if (p > 1 && mode != Mode::kHierarchical) {
     EXPECT_EQ(stats.elements_sent, kCap);
     EXPECT_EQ(stats.messages_sent, 1);  // skewed: one real destination
   }
@@ -160,6 +164,13 @@ TEST_P(ExchangeSweep, SegmentExchangeAutoRotation) {
   const Backend b = GetParam();
   RunRanks(6, [&](mpisim::Comm& world) {
     RotationExchange(Make(b, world), Mode::kAuto);
+  });
+}
+
+TEST_P(ExchangeSweep, SegmentExchangeHierarchicalRotation) {
+  const Backend b = GetParam();
+  RunRanks(6, [&](mpisim::Comm& world) {
+    RotationExchange(Make(b, world), Mode::kHierarchical);
   });
 }
 
@@ -232,6 +243,20 @@ TEST_P(ExchangeSweep, TwoRegionSegmentExchangeCoalesced) {
   const Backend b = GetParam();
   RunRanks(7, [&](mpisim::Comm& world) {
     TwoRegionExchange(Make(b, world), Mode::kCoalesced);
+  });
+}
+
+TEST_P(ExchangeSweep, TwoRegionSegmentExchangeAuto) {
+  const Backend b = GetParam();
+  RunRanks(7, [&](mpisim::Comm& world) {
+    TwoRegionExchange(Make(b, world), Mode::kAuto);
+  });
+}
+
+TEST_P(ExchangeSweep, TwoRegionSegmentExchangeHierarchical) {
+  const Backend b = GetParam();
+  RunRanks(7, [&](mpisim::Comm& world) {
+    TwoRegionExchange(Make(b, world), Mode::kHierarchical);
   });
 }
 
@@ -456,6 +481,51 @@ TEST(ExchangeTags, SegmentExchangeRejectsChunkBandTags) {
       if (mode != Mode::kCoalesced) expect_rejected(0, mode);
     }
   });
+}
+
+/// JQuick over each backend at segment limits that leave its per-level
+/// exchanges whole (0), chunk every message (a prime number of bytes,
+/// smaller than one element plus the header), and the tuned default:
+/// the output is sorted, perfectly balanced and globally ordered.
+void SortWithSegmentBytes(Backend b, std::int64_t segment_bytes) {
+  constexpr int kP = 9;
+  constexpr std::int64_t kQuota = 40;
+  testutil::PerRank<std::vector<double>> outs(kP);
+  RunRanks(kP, [&](mpisim::Comm& world) {
+    auto tr = Make(b, world);
+    auto input = jsort::GenerateInput(jsort::InputKind::kUniform,
+                                      world.Rank(), kP, kQuota, 21);
+    jsort::JQuickConfig cfg;
+    cfg.segment_bytes = segment_bytes;
+    auto out = jsort::JQuickSort(tr, std::move(input), cfg);
+    outs.Set(world.Rank(), std::move(out));
+  });
+  std::vector<double> all;
+  for (int r = 0; r < kP; ++r) {
+    EXPECT_EQ(outs[r].size(), static_cast<std::size_t>(kQuota));
+    EXPECT_TRUE(std::is_sorted(outs[r].begin(), outs[r].end()));
+    if (r > 0 && !outs[r].empty() && !outs[r - 1].empty()) {
+      EXPECT_LE(outs[r - 1].back(), outs[r].front());
+    }
+    all.insert(all.end(), outs[r].begin(), outs[r].end());
+  }
+  EXPECT_TRUE(std::is_sorted(all.begin(), all.end()));
+}
+
+class JQuickSegmentSweep
+    : public ::testing::TestWithParam<std::tuple<Backend, std::int64_t>> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    BackendsBySegmentBytes, JQuickSegmentSweep,
+    ::testing::Combine(::testing::Values(Backend::kRbc, Backend::kMpi,
+                                         Backend::kIcomm),
+                       ::testing::Values(std::int64_t{0}, std::int64_t{13},
+                                         jsort::exchange::
+                                             kDefaultSegmentBytes)));
+
+TEST_P(JQuickSegmentSweep, SortsCorrectly) {
+  const auto [b, segment_bytes] = GetParam();
+  SortWithSegmentBytes(b, segment_bytes);
 }
 
 }  // namespace
